@@ -254,15 +254,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--wal-sync needs always or off")?;
                 args.wal_sync = WalSync::parse(&v)?;
             }
-            "--commit-window-us" => {
-                let v = argv
-                    .next()
-                    .ok_or("--commit-window-us needs microseconds (0 = fsync per record)")?;
-                let us: u64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --commit-window-us: {e}"))?;
-                args.tuning.commit_window = Duration::from_micros(us);
-            }
             "--segment-bytes" => {
                 let v = argv.next().ok_or("--segment-bytes needs a byte count")?;
                 let n: u64 = v.parse().map_err(|e| format!("bad --segment-bytes: {e}"))?;
@@ -329,7 +320,7 @@ fn parse_args() -> Result<Args, String> {
                      [--wire text|binary] [--pipeline n] \
                      [--faults spec] [--retries n] [--backoff-ms n] [--max-backoff-ms n] \
                      [--chaos-report path|-] [--data-dir path] [--wal-sync always|off] \
-                     [--commit-window-us n] [--segment-bytes n]\n\
+                     [--segment-bytes n]\n\
                      \x20       [--peers a,b,c | --cluster-nodes n] [--replication r] \
                      [--peer-faults spec] [--kill-span node:from:to]\n\
                      --wire binary speaks length-prefixed frames; --pipeline n \
@@ -362,9 +353,7 @@ fn parse_args() -> Result<Args, String> {
         );
     }
     if args.tuning != WalTuning::default() && args.data_dir.is_none() {
-        return Err(
-            "--commit-window-us / --segment-bytes need --data-dir (they tune the WAL)".into(),
-        );
+        return Err("--segment-bytes needs --data-dir (it tunes the WAL)".into());
     }
     if !args.peers.is_empty() && args.cluster_nodes.is_some() {
         return Err("--peers (TCP cluster) and --cluster-nodes (in-process) are exclusive".into());

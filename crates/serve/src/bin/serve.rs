@@ -5,6 +5,7 @@
 //!       [--ratio f] [--seed n|0xHEX] [--max-conns n]
 //!       [--read-timeout ms] [--chaos]
 //!       [--data-dir path] [--wal-sync always|off]
+//!       [--commit-window-us n] [--segment-bytes n]
 //!       [--checkpoint-every n] [--crash-at kind:N]
 //!       [--cluster i --peers a,b,c [--replication r] [--peer-timeout ms]
 //!        [--peer-connect-timeout ms] [--peer-read-timeout ms]]
@@ -27,7 +28,11 @@
 //! WAL) beneath the given directory and recovers whatever a previous
 //! process made durable before listening; `--wal-sync` picks the fsync
 //! policy (`off` flushes to the OS per append — survives `kill -9`;
-//! `always` adds an fsync — survives power loss); `--checkpoint-every`
+//! `always` adds one fsync per event-loop turn, before any of the turn's
+//! replies is written — survives power loss); `--commit-window-us`
+//! (needs `--wal-sync always`) lets a turn linger up to that many
+//! microseconds for more ready requests before its fsync;
+//! `--segment-bytes` sets the WAL segment-roll threshold; `--checkpoint-every`
 //! sets the accesses between checkpoint refreshes; `--crash-at`
 //! (requires `--data-dir`) arms a deterministic crash point
 //! (`append:N`, `torn:N`, `checkpoint:N`) that kills the process with
@@ -180,11 +185,11 @@ fn parse_args() -> Result<Args, String> {
             "--commit-window-us" => {
                 let v = argv
                     .next()
-                    .ok_or("--commit-window-us needs microseconds (0 = fsync per record)")?;
+                    .ok_or("--commit-window-us needs microseconds (0 = no linger)")?;
                 let us: u64 = v
                     .parse()
                     .map_err(|e| format!("bad --commit-window-us: {e}"))?;
-                args.tuning.commit_window = Duration::from_micros(us);
+                args.server.commit_window = Duration::from_micros(us);
             }
             "--segment-bytes" => {
                 let v = argv.next().ok_or("--segment-bytes needs a byte count")?;
@@ -265,10 +270,11 @@ fn parse_args() -> Result<Args, String> {
                      --max-conns refuses excess connections with ERR server busy,\n\
                      --read-timeout reclaims idle connections, --chaos honors POISON;\n\
                      --data-dir makes every shard durable (checkpoint + segmented\n\
-                     WAL) and recovers previous state on start; --commit-window-us\n\
-                     batches concurrent WAL fsyncs under --wal-sync always (0 =\n\
-                     one fsync per record), --segment-bytes sets the WAL\n\
-                     segment-roll threshold; --crash-at arms a deterministic crash\n\
+                     WAL) and recovers previous state on start; --wal-sync always\n\
+                     fsyncs once per event-loop turn before its replies go out;\n\
+                     --commit-window-us n lets a turn linger up to n us for more\n\
+                     requests first (needs --wal-sync always); --segment-bytes\n\
+                     sets the WAL segment-roll threshold; --crash-at arms a deterministic crash\n\
                      point (append:N, torn:N, checkpoint:N, seal:N,\n\
                      segment-roll:N);\n\
                      --cluster i joins the static membership in --peers (same list\n\
@@ -287,8 +293,15 @@ fn parse_args() -> Result<Args, String> {
         return Err("--crash-at needs --data-dir (crash points live in the durable store)".into());
     }
     if args.tuning != WalTuning::default() && args.data_dir.is_none() {
+        return Err("--segment-bytes needs --data-dir (it tunes the WAL)".into());
+    }
+    if !args.server.commit_window.is_zero()
+        && (args.data_dir.is_none() || args.wal_sync != WalSync::Always)
+    {
         return Err(
-            "--commit-window-us / --segment-bytes need --data-dir (they tune the WAL)".into(),
+            "--commit-window-us needs --data-dir and --wal-sync always (it bounds how long \
+             a turn lingers before its fsync; without one it does nothing)"
+                .into(),
         );
     }
     match args.cluster {

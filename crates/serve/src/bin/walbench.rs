@@ -1,44 +1,49 @@
-//! `walbench` — the durable write path's performance envelope: what the
-//! group-commit window buys, and what segmented recovery costs.
+//! `walbench` — the durable write path's performance envelope: what
+//! acked-durable requests cost at `--wal-sync always`, in process and
+//! over TCP, and what segmented recovery costs.
 //!
 //! ```text
-//! walbench [--requests n] [--threads n] [--windows a,b,c]
-//!          [--histories a,b,c] [--segment-bytes n] [--clips n] [--seed n]
+//! walbench [--requests n] [--threads a,b] [--histories a,b,c]
+//!          [--segment-bytes n] [--clips n] [--seed n]
 //!          [--out path] [--check baseline.json] [--tolerance f]
 //!          [--recovery-factor f]
 //! ```
 //!
-//! Two sweeps, both over real disks and real fsyncs:
+//! Three sweeps, all over real disks and real fsyncs:
 //!
-//! * **commit cells** — acked-durable throughput under `--wal-sync
-//!   always` for each `--commit-window-us` value: `--threads` workers
-//!   drive a persistent in-process [`CacheService`] and every reply
-//!   waits for its record's batched fsync. Window 0 is the
-//!   one-fsync-per-record path; wider windows let concurrent requests
-//!   ride one fsync. The default sweep samples the rising region of
-//!   the curve — with a closed-loop load the batch saturates at the
-//!   worker count, so past ~100 µs the curve plateaus (and wobbles
-//!   with scheduler jitter) rather than keeps climbing.
+//! * **in-process cells** — `--threads` workers drive a persistent
+//!   [`CacheService`] at `--wal-sync always`; each request is a `get`
+//!   followed by a `sync`, and counts as acked once the sync returns.
+//!   Concurrent workers share an fsync when one worker's sync covers
+//!   another's append.
+//! * **TCP cells** — the same durable service behind [`serve_with`] on
+//!   loopback, for every wire (binary, text) × depth (1, 16) ×
+//!   connections (1, 2): each connection keeps `depth` GETs in flight
+//!   and counts a request as acked when its reply arrives. The server
+//!   fsyncs once per event-loop turn, so pipelined and concurrent
+//!   requests share fsyncs.
 //! * **recovery cells** — wall-clock reopen time versus WAL history,
 //!   with and without a covering checkpoint. Without one, replay work
 //!   grows with the log; with one, the checkpoint subsumes every
 //!   segment and recovery stays flat no matter how long the history.
 //!
-//! The report *shape* is deterministic (same cells, same keys); the
-//! wall-clock numbers vary run to run, which is why this is a serve
-//! binary and not a `repro` figure. `--check baseline.json` turns the
-//! run into a gate: it fails (exit 1) if any commit cell's throughput
-//! drops more than `--tolerance` (default 0.50 — fsync timing on
-//! shared runners is noisy) below the committed baseline, or any
-//! recovery cell exceeds the baseline's by more than
-//! `--recovery-factor` (default 10×). CI runs this against
+//! Throughput cells report the best of three trials. The report *shape*
+//! is deterministic (same cells, same keys); the wall-clock numbers vary
+//! run to run, which is why this is a serve binary and not a `repro`
+//! figure. `--check baseline.json` turns the run into a gate: it fails
+//! (exit 1) if any throughput cell drops more than `--tolerance`
+//! (default 0.50 — fsync timing on shared runners is noisy) below the
+//! committed baseline, or any recovery cell exceeds the baseline's by
+//! more than `--recovery-factor` (default 10×). CI runs this against
 //! `results/wal/BENCH_wal.json`.
 
 use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_core::PolicyKind;
 use clipcache_media::{paper, ByteSize, ClipId};
 use clipcache_serve::persist::{DurableCheckpoint, ShardStore, WalOp, WalSync, WalTuning};
-use clipcache_serve::{CacheService, PersistOptions, ServiceConfig};
+use clipcache_serve::{
+    serve_with, CacheService, PersistOptions, ServerConfig, ServiceConfig, TcpCacheClient, Wire,
+};
 use clipcache_sim::metrics::HitStats;
 use clipcache_workload::{json, Timestamp};
 use std::path::PathBuf;
@@ -48,8 +53,7 @@ use std::time::{Duration, Instant};
 
 struct Args {
     requests: u64,
-    threads: usize,
-    windows: Vec<u64>,
+    threads: Vec<u64>,
     histories: Vec<u64>,
     segment_bytes: u64,
     clips: usize,
@@ -71,8 +75,7 @@ fn parse_list(v: &str, flag: &str) -> Result<Vec<u64>, String> {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         requests: 16_000,
-        threads: 4,
-        windows: vec![0, 50, 100],
+        threads: vec![1, 4],
         histories: vec![10_000, 40_000],
         segment_bytes: 256 * 1024,
         clips: 24,
@@ -90,15 +93,11 @@ fn parse_args() -> Result<Args, String> {
                 args.requests = v.parse().map_err(|e| format!("bad --requests: {e}"))?;
             }
             "--threads" => {
-                let v = argv.next().ok_or("--threads needs a count")?;
-                args.threads = v.parse().map_err(|e| format!("bad --threads: {e}"))?;
-                if args.threads == 0 {
-                    return Err("--threads must be at least 1".into());
+                let v = argv.next().ok_or("--threads needs a comma list")?;
+                args.threads = parse_list(&v, "--threads")?;
+                if args.threads.contains(&0) {
+                    return Err("--threads counts must be at least 1".into());
                 }
-            }
-            "--windows" => {
-                let v = argv.next().ok_or("--windows needs a comma list (µs)")?;
-                args.windows = parse_list(&v, "--windows")?;
             }
             "--histories" => {
                 let v = argv.next().ok_or("--histories needs a comma list")?;
@@ -139,13 +138,13 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: walbench [--requests n] [--threads n] [--windows a,b,c] \
-                     [--histories a,b,c] [--segment-bytes n] [--clips n] [--seed n] \
-                     [--out path] [--check baseline.json] [--tolerance f] \
-                     [--recovery-factor f]\n\
-                     Measures acked-durable throughput per --commit-window-us value \
-                     (concurrent workers, --wal-sync always) and recovery wall-clock \
-                     per WAL history length (with/without a covering checkpoint); \
+                    "usage: walbench [--requests n] [--threads a,b] [--histories a,b,c] \
+                     [--segment-bytes n] [--clips n] [--seed n] [--out path] \
+                     [--check baseline.json] [--tolerance f] [--recovery-factor f]\n\
+                     Measures acked-durable throughput at --wal-sync always in \
+                     process (per --threads count, get then sync) and over TCP \
+                     (wire x depth x conns), and recovery wall-clock per WAL \
+                     history length (with/without a covering checkpoint); \
                      --check gates against a committed baseline"
                         .into(),
                 )
@@ -156,8 +155,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-struct CommitCell {
-    window_us: u64,
+/// One acked-durable throughput cell, named `inproc/t<threads>` or
+/// `tcp/<wire>/d<depth>/c<conns>`.
+struct ThroughputCell {
+    cell: String,
     throughput_rps: f64,
 }
 
@@ -175,75 +176,146 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One commit cell: the best of three trials, each `threads` workers
-/// hammering a persistent service with `--wal-sync always` and the
-/// given batch window; every acked reply waited for a durable fsync.
-/// Best-of-N because fsync scheduling on shared machines is noisy and
-/// the cell measures the path's capability, not one run's luck.
-fn run_commit_cell(args: &Args, window_us: u64) -> Result<CommitCell, String> {
+/// Measure `cell` as the best of three trials of `trial` (acked-durable
+/// req/s), each in a fresh data directory. Best-of-N because fsync
+/// scheduling on shared machines is noisy and a cell measures the
+/// path's capability, not one run's luck.
+fn measure(
+    cell: String,
+    mut trial: impl FnMut(&PathBuf) -> Result<f64, String>,
+) -> Result<ThroughputCell, String> {
     let mut best = 0.0f64;
-    for trial in 0..3 {
-        let cell = run_commit_trial(args, window_us, trial)?;
-        best = best.max(cell);
+    for t in 0..3 {
+        let dir = scratch(&format!("{}-{t}", cell.replace('/', "-")));
+        let measured = trial(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        best = best.max(measured.map_err(|e| format!("{cell}: {e}"))?);
     }
-    Ok(CommitCell {
-        window_us,
+    eprintln!("{cell}: {best:.0} acked-durable req/s");
+    Ok(ThroughputCell {
+        cell,
         throughput_rps: best,
     })
 }
 
-/// One timed trial of a commit cell; returns acked-durable req/s.
-fn run_commit_trial(args: &Args, window_us: u64, trial: u32) -> Result<f64, String> {
-    let dir = scratch(&format!("commit-{window_us}-{trial}"));
+/// A fresh durable single-shard service at `--wal-sync always` in
+/// `dir`, with checkpoints pushed out of the way so every request pays
+/// only its append and its share of an fsync.
+fn open_durable(args: &Args, dir: &PathBuf) -> Result<Arc<CacheService>, String> {
     let repo = Arc::new(paper::equi_sized_repository_of(
         args.clips,
         ByteSize::mb(10),
     ));
-    let config = ServiceConfig::new(
-        PolicyKind::Lru,
-        1,
-        ByteSize::mb(10 * args.clips as u64),
-        args.seed,
-    )
-    .with_checkpoint_every(u64::MAX);
+    let capacity = ByteSize::mb(10 * args.clips as u64);
+    let config =
+        ServiceConfig::new(PolicyKind::Lru, 1, capacity, args.seed).with_checkpoint_every(u64::MAX);
     let opts = PersistOptions {
-        dir: dir.clone(),
         sync: WalSync::Always,
-        crash: None,
-        on_crash: clipcache_serve::CrashAction::Surface,
         tuning: WalTuning {
             segment_bytes: args.segment_bytes,
-            commit_window: Duration::from_micros(window_us),
+            ..WalTuning::default()
         },
+        ..PersistOptions::at(dir)
     };
-    let (service, _) = CacheService::open_persistent(Arc::clone(&repo), config, None, &opts)
+    let (service, _) = CacheService::open_persistent(repo, config, None, &opts)
         .map_err(|e| format!("cannot open durable service: {e}"))?;
-    let service = Arc::new(service);
-    let per_thread = args.requests / args.threads as u64;
-    let clips = args.clips as u32;
+    Ok(Arc::new(service))
+}
+
+/// The clip worker `w` requests `i`-th.
+fn clip_for(args: &Args, w: u64, i: u64) -> ClipId {
+    ClipId::new(((i * 7 + w * 3) % args.clips as u64) as u32 + 1)
+}
+
+/// Run `worker(w)` on `n` scoped threads and time them all.
+fn timed_workers(
+    n: u64,
+    worker: impl Fn(u64) -> Result<(), String> + Sync,
+) -> Result<Duration, String> {
     let started = Instant::now();
-    let workers: Vec<_> = (0..args.threads)
-        .map(|w| {
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || -> Result<(), String> {
-                for i in 0..per_thread {
-                    let clip = ClipId::new(((i * 7 + w as u64 * 3) % clips as u64) as u32 + 1);
-                    service
-                        .get(clip)
-                        .map_err(|e| format!("worker {w} request {i}: {e}"))?;
-                }
-                Ok(())
-            })
-        })
-        .collect();
-    for worker in workers {
-        worker.join().map_err(|_| "worker panicked".to_string())??;
+    let worker = &worker;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || worker(w))).collect();
+        handles
+            .into_iter()
+            .try_for_each(|h| h.join().map_err(|_| "worker panicked".to_string())?)
+    })?;
+    Ok(started.elapsed())
+}
+
+/// One in-process trial: `threads` workers, each request a `get`
+/// followed by a `sync`; returns acked-durable req/s.
+fn inproc_trial(args: &Args, threads: u64, dir: &PathBuf) -> Result<f64, String> {
+    let service = open_durable(args, dir)?;
+    let per_thread = args.requests / threads;
+    let elapsed = timed_workers(threads, |w| {
+        for i in 0..per_thread {
+            service
+                .get(clip_for(args, w, i))
+                .and_then(|_| service.sync())
+                .map_err(|e| format!("worker {w} request {i}: {e}"))?;
+        }
+        Ok(())
+    })?;
+    Ok((per_thread * threads) as f64 / elapsed.as_secs_f64())
+}
+
+/// One TCP trial: the durable service behind the epoll server on
+/// loopback, `conns` connections each keeping `depth` GETs in flight;
+/// returns acked-durable req/s (a reply is an ack).
+fn tcp_trial(
+    args: &Args,
+    wire: Wire,
+    depth: u64,
+    conns: u64,
+    dir: &PathBuf,
+) -> Result<f64, String> {
+    let handle = serve_with(
+        open_durable(args, dir)?,
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .map_err(|e| format!("cannot bind: {e}"))?;
+    let addr = handle.addr();
+    let per_conn = args.requests / conns / depth * depth;
+    let elapsed = timed_workers(conns, |w| {
+        let io = |e: std::io::Error| format!("connection {w}: {e}");
+        let mut client =
+            TcpCacheClient::connect_wire(addr, Some(Duration::from_secs(30)), wire).map_err(io)?;
+        for start in (0..per_conn).step_by(depth as usize) {
+            let batch: Vec<ClipId> = (start..start + depth)
+                .map(|i| clip_for(args, w, i))
+                .collect();
+            client.send_gets(&batch).map_err(io)?;
+            for _ in 0..depth {
+                client.recv_get().map_err(io)?;
+            }
+        }
+        client.quit().map_err(io)
+    });
+    handle.shutdown();
+    Ok((per_conn * conns) as f64 / elapsed?.as_secs_f64())
+}
+
+/// Every throughput cell: in-process per `--threads` count, then the
+/// TCP grid.
+fn throughput_cells(args: &Args) -> Result<Vec<ThroughputCell>, String> {
+    let mut cells = Vec::new();
+    for &threads in &args.threads {
+        let name = format!("inproc/t{threads}");
+        cells.push(measure(name, |dir| inproc_trial(args, threads, dir))?);
     }
-    let elapsed = started.elapsed();
-    drop(service);
-    let _ = std::fs::remove_dir_all(&dir);
-    let acked = per_thread * args.threads as u64;
-    Ok(acked as f64 / elapsed.as_secs_f64())
+    for (wire, wire_name) in [(Wire::Binary, "binary"), (Wire::Text, "text")] {
+        for depth in [1, 16] {
+            for conns in [1, 2] {
+                let name = format!("tcp/{wire_name}/d{depth}/c{conns}");
+                cells.push(measure(name, |dir| {
+                    tcp_trial(args, wire, depth, conns, dir)
+                })?);
+            }
+        }
+    }
+    Ok(cells)
 }
 
 /// A checkpoint covering through `seq`, over a throwaway cache — only
@@ -268,7 +340,7 @@ fn run_recovery_cell(
     let dir = scratch(&format!("recover-{history}-{checkpointed}"));
     let tuning = WalTuning {
         segment_bytes: args.segment_bytes,
-        commit_window: Duration::ZERO,
+        ..WalTuning::default()
     };
     {
         let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tuning)
@@ -302,24 +374,25 @@ fn run_recovery_cell(
 
 /// Render the report. Keys and cell order are deterministic; only the
 /// measured values vary.
-fn render(args: &Args, commits: &[CommitCell], recoveries: &[RecoveryCell]) -> String {
+fn render(args: &Args, cells: &[ThroughputCell], recoveries: &[RecoveryCell]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"bench\": \"walbench\",\n  \"version\": 1,\n");
+    out.push_str("  \"bench\": \"walbench\",\n  \"version\": 2,\n");
     out.push_str(&format!(
-        "  \"requests\": {}, \"threads\": {}, \"segment_bytes\": {}, \"seed\": {},\n",
-        args.requests, args.threads, args.segment_bytes, args.seed
+        "  \"requests\": {}, \"segment_bytes\": {}, \"seed\": {},\n",
+        args.requests, args.segment_bytes, args.seed
     ));
-    out.push_str("  \"commit_cells\": [\n");
-    for (i, c) in commits.iter().enumerate() {
+    out.push_str("  \"throughput_cells\": [\n");
+    for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"window_us\": {}, \"throughput_rps\": {:.0}}}{}\n",
-            c.window_us,
+            "    {{\"cell\": \"{}\", \"throughput_rps\": {:.0}}}{}\n",
+            c.cell,
             c.throughput_rps,
-            if i + 1 < commits.len() { "," } else { "" }
+            if i + 1 < cells.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n  \"recovery_cells\": [\n");
+    out.push_str("  ],\n");
+    out.push_str("  \"recovery_cells\": [\n");
     for (i, c) in recoveries.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"history\": {}, \"checkpointed\": {}, \"recovery_ms\": {:.2}, \
@@ -338,41 +411,40 @@ fn render(args: &Args, commits: &[CommitCell], recoveries: &[RecoveryCell]) -> S
 
 /// Compare measured cells against a committed baseline.
 fn check(
-    commits: &[CommitCell],
+    cells: &[ThroughputCell],
     recoveries: &[RecoveryCell],
     baseline: &json::Json,
     tolerance: f64,
     recovery_factor: f64,
 ) -> Result<(), String> {
-    let base_commits = baseline
-        .get("commit_cells")
+    let base_cells = baseline
+        .get("throughput_cells")
         .and_then(|c| c.as_array())
-        .ok_or("baseline has no commit_cells array")?;
-    for base in base_commits {
-        let window = base
-            .get("window_us")
-            .and_then(|v| v.as_u64())
-            .ok_or("baseline commit cell missing window_us")?;
+        .ok_or("baseline has no throughput_cells array")?;
+    for base in base_cells {
+        let name = base
+            .get("cell")
+            .and_then(|v| v.as_str())
+            .ok_or("baseline throughput cell missing cell")?;
         let base_tp = base
             .get("throughput_rps")
             .and_then(|v| v.as_f64())
-            .ok_or("baseline commit cell missing throughput_rps")?;
-        let Some(cell) = commits.iter().find(|c| c.window_us == window) else {
+            .ok_or("baseline throughput cell missing throughput_rps")?;
+        let Some(cell) = cells.iter().find(|c| c.cell == name) else {
             return Err(format!(
-                "baseline commit cell window_us={window} was not measured \
-                 (pass a matching --windows)"
+                "baseline cell {name} was not measured (pass a matching --threads)"
             ));
         };
         let floor = base_tp * (1.0 - tolerance);
         if cell.throughput_rps < floor {
             return Err(format!(
-                "REGRESSION window_us={window}: acked-durable {:.0} req/s fell \
-                 below {floor:.0} (baseline {base_tp:.0}, tolerance {tolerance})",
+                "REGRESSION {name}: acked-durable {:.0} req/s fell below {floor:.0} \
+                 (baseline {base_tp:.0}, tolerance {tolerance})",
                 cell.throughput_rps
             ));
         }
         println!(
-            "ok window_us={window}: {:.0} req/s (baseline {base_tp:.0})",
+            "ok {name}: {:.0} req/s (baseline {base_tp:.0})",
             cell.throughput_rps
         );
     }
@@ -419,91 +491,58 @@ fn check(
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut commits = Vec::new();
-    for &window_us in &args.windows {
-        match run_commit_cell(&args, window_us) {
-            Ok(cell) => {
-                eprintln!(
-                    "commit window_us={window_us}: {:.0} acked-durable req/s",
-                    cell.throughput_rps
-                );
-                commits.push(cell);
-            }
-            Err(e) => {
-                eprintln!("commit cell window_us={window_us} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+/// Measure every cell, write the report, and gate it if asked.
+fn run(args: &Args) -> Result<(), String> {
+    let cells = throughput_cells(args)?;
     let mut recoveries = Vec::new();
     for &history in &args.histories {
         for checkpointed in [false, true] {
-            match run_recovery_cell(&args, history, checkpointed) {
-                Ok(cell) => {
-                    eprintln!(
-                        "recovery history={history} checkpointed={checkpointed}: \
-                         {:.2} ms, replayed {}, {} segment(s)",
-                        cell.recovery_ms, cell.replayed, cell.segments
-                    );
-                    recoveries.push(cell);
-                }
-                Err(e) => {
-                    eprintln!("recovery cell history={history} failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let cell = run_recovery_cell(args, history, checkpointed)
+                .map_err(|e| format!("recovery cell history={history} failed: {e}"))?;
+            eprintln!(
+                "recovery history={history} checkpointed={checkpointed}: \
+                 {:.2} ms, replayed {}, {} segment(s)",
+                cell.recovery_ms, cell.replayed, cell.segments
+            );
+            recoveries.push(cell);
         }
     }
 
-    let rendered = render(&args, &commits, &recoveries);
+    let rendered = render(args, &cells, &recoveries);
     match &args.out {
         Some(path) => {
             if let Some(parent) = std::path::Path::new(path).parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
         }
         None => print!("{rendered}"),
     }
 
-    if let Some(baseline_path) = &args.check {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match json::parse(&text) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot parse baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(msg) = check(
-            &commits,
+    if let Some(path) = &args.check {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+        let baseline =
+            json::parse(&text).map_err(|e| format!("cannot parse baseline {path}: {e}"))?;
+        check(
+            &cells,
             &recoveries,
             &baseline,
             args.tolerance,
             args.recovery_factor,
-        ) {
-            eprintln!("perf gate FAILED: {msg}");
-            return ExitCode::FAILURE;
-        }
+        )
+        .map_err(|msg| format!("perf gate FAILED: {msg}"))?;
         println!("perf gate passed");
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -40,8 +40,8 @@
 //!   fault plan (`--faults`).
 //! * [`persist`] — durable per-shard state (`--data-dir`): periodic
 //!   checkpoints plus a segmented, CRC-framed write-ahead log
-//!   (`--segment-bytes`) with group-committed fsyncs
-//!   (`--commit-window-us`) and deterministic crash points
+//!   (`--segment-bytes`), fsynced once per event-loop turn at
+//!   `--wal-sync always`, and deterministic crash points
 //!   (`--crash-at`) so recovery is provable, not hoped-for.
 //! * [`ring`] — the deterministic consistent-hash ring: SplitMix64
 //!   vnodes, placement a pure function of `(seed, membership, clip)`,
@@ -88,9 +88,9 @@ pub use loadgen::{
     LoadReport, Target,
 };
 pub use persist::{
-    decode_segment, segment_file_name, CommitTicket, CrashAction, CrashPoint, CrashSpec,
-    DurableCheckpoint, PersistError, PersistOptions, RecoveryReport, SegmentEnd, ShardStore, WalOp,
-    WalRecord, WalSync, WalTuning, DEFAULT_SEGMENT_BYTES,
+    decode_segment, segment_file_name, CrashAction, CrashPoint, CrashSpec, DurableCheckpoint,
+    PersistError, PersistOptions, RecoveryReport, SegmentEnd, ShardStore, WalOp, WalRecord,
+    WalSync, WalTuning, DEFAULT_SEGMENT_BYTES,
 };
 pub use protocol::{
     Decoded, FrameError, Reply, ServerStats, WireVersions, FRAME_MAGIC, MAX_FRAME_PAYLOAD,

@@ -249,15 +249,23 @@ trait Transport {
     fn reconnects(&self) -> u64;
 }
 
+/// One in-process GET, acknowledged only once [`CacheService::sync`]
+/// has made its WAL record durable (a no-op unless the service is
+/// durable at `--wal-sync always`).
+fn durable_get(service: &CacheService, clip: ClipId) -> std::io::Result<GetOutcome> {
+    service
+        .get(clip)
+        .and_then(|outcome| service.sync().map(|()| outcome))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+}
+
 struct InProcessTransport {
     service: Arc<CacheService>,
 }
 
 impl Transport for InProcessTransport {
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.service
-            .get(clip)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+        durable_get(&self.service, clip)
     }
 
     fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
@@ -831,11 +839,7 @@ fn run_client(
     // exactly once.
     let plan = options.faults.as_ref();
     match (target, plan) {
-        (Target::InProcess(service), None) => replay(part, repo, |clip| {
-            service
-                .get(clip)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
-        }),
+        (Target::InProcess(service), None) => replay(part, repo, |clip| durable_get(service, clip)),
         (Target::Tcp(addr), None) => {
             let mut client =
                 TcpCacheClient::connect_wire(addr.as_str(), options.read_timeout, options.wire)?;

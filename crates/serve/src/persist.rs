@@ -1,5 +1,5 @@
-//! Durable per-shard cache state: checkpoints plus a segmented,
-//! group-committed write-ahead log.
+//! Durable per-shard cache state: checkpoints plus a segmented
+//! write-ahead log, fsynced once per commit point.
 //!
 //! The paper's whole argument is that a cache hit means the clip
 //! survives disconnection — which is only true if the cache itself
@@ -36,19 +36,20 @@
 //! active segment back to its bare header: disk usage and replay cost
 //! stay bounded no matter how long the shard runs.
 //!
-//! ## Group commit
+//! ## Loop-level commit
 //!
-//! With `--wal-sync always` and a nonzero commit window, an append
-//! writes its frame and returns a [`CommitTicket`] instead of paying a
-//! private fsync. The caller releases the shard lock, then waits on the
-//! ticket: the first waiter becomes the *leader*, gives later appends
-//! up to the window to pile in (leaving early once the queue
-//! quiesces), then issues **one** fsync that makes every rider durable
-//! at once. A request is acknowledged only after its batch lands — an
-//! acked request is still a durable request, the batching only changes
-//! *when* the fsync happens, never what bytes reach the disk. A zero
-//! window is exactly the old behavior: one inline fsync per record,
-//! byte-identical on disk.
+//! With `--wal-sync always` an append writes and flushes its frame to
+//! the operating system but does not fsync it: it marks the store
+//! *unsynced*. [`ShardStore::sync`] then fsyncs the active segment once,
+//! covering every record appended since the last sync. The caller picks
+//! the commit point: the epoll server calls it once per event-loop turn,
+//! after executing every ready request and before writing any of their
+//! replies, so pipelined and concurrent requests share one fsync without
+//! anyone waiting between appends. In-process callers call it before
+//! they count a request as acknowledged. A seal, a checkpoint or a
+//! crash-point fsync also leaves the store synced, since each of those
+//! fsyncs the records too. Acked ⇒ durable is unchanged: where the
+//! fsync happens moves, never which bytes reach the disk.
 //!
 //! ## The recovery contract
 //!
@@ -100,8 +101,6 @@ use clipcache_sim::metrics::HitStats;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// The single-file WAL name used before the log was segmented. Found
 /// on disk it is refused by name — this build neither reads nor
@@ -146,11 +145,6 @@ const RECORD_PAYLOAD_BYTES: usize = 17;
 const V1_RECORD_PAYLOAD_BYTES: usize = 13;
 /// Bytes in one record's frame header: length (4) + CRC (4).
 const FRAME_HEADER_BYTES: usize = 8;
-
-/// How long a group-commit leader sleeps per poll while it waits for
-/// more riders. Fixed (not a fraction of the window) so a larger
-/// window never adds latency once the queue quiesces.
-const COMMIT_SLICE: Duration = Duration::from_micros(50);
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `bytes` — the same
 /// polynomial zlib and ethernet use, hand-rolled because the offline
@@ -588,8 +582,8 @@ pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentE
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WalSync {
     /// `fsync` before a request is acknowledged: survives power loss.
-    /// With a zero commit window that is one fsync per append; with a
-    /// nonzero window, concurrent appends share one batched fsync.
+    /// Appends only mark the store unsynced; one
+    /// [`ShardStore::sync`] per commit point covers all of them.
     Always,
     /// Flush to the OS page cache only (the default): survives process
     /// death, trusts the kernel for power loss. Checkpoints and seal
@@ -700,22 +694,24 @@ pub enum CrashAction {
     Surface,
 }
 
-/// Tuning knobs for the segmented WAL.
+/// Tuning knobs for the segmented WAL. Build it as
+/// `WalTuning { segment_bytes: n, ..WalTuning::default() }`, so that
+/// adding or removing a knob never breaks a caller; the hidden field
+/// keeps that spelling meaningful while there is only one knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalTuning {
     /// Roll to a fresh segment once the active one reaches this many
     /// bytes (`--segment-bytes`).
     pub segment_bytes: u64,
-    /// Group-commit batch window (`--commit-window-us`); zero means one
-    /// inline fsync per append under [`WalSync::Always`].
-    pub commit_window: Duration,
+    #[doc(hidden)]
+    pub _more_knobs: (),
 }
 
 impl Default for WalTuning {
     fn default() -> Self {
         WalTuning {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            commit_window: Duration::ZERO,
+            _more_knobs: (),
         }
     }
 }
@@ -732,7 +728,7 @@ pub struct PersistOptions {
     pub crash: Option<CrashSpec>,
     /// What a fired crash point does.
     pub on_crash: CrashAction,
-    /// Segment size and commit-window tuning.
+    /// Segment size tuning.
     pub tuning: WalTuning,
 }
 
@@ -896,187 +892,9 @@ pub struct DurableState {
     pub subsumed_records: u64,
 }
 
-/// Shared state of one shard's group-commit queue.
-struct CommitState {
-    /// Highest sequence number written (flushed to the OS).
-    written: u64,
-    /// Highest sequence number known durable (fsynced, sealed, or
-    /// folded into a durable checkpoint).
-    durable: u64,
-    /// A rider is currently running the batched fsync.
-    leader: bool,
-    /// Bumped by a rewind: tickets from earlier epochs error out, since
-    /// their sequence numbers may be reissued after the rewind.
-    epoch: u64,
-    /// A batched fsync failed (or the store was killed): nothing more
-    /// will become durable, pending riders must not hang.
-    poisoned: bool,
-    /// The active segment's file handle — what the leader fsyncs. Every
-    /// written-but-unsynced record lives either here or in an
-    /// already-sealed (already-durable) segment, so one `sync_data`
-    /// covers the whole batch.
-    file: Arc<File>,
-}
-
-/// A per-shard group-commit queue: appends note their writes under the
-/// shard lock, then wait for durability *outside* it so concurrent
-/// appends can ride one batched fsync.
-struct CommitQueue {
-    window: Duration,
-    state: Mutex<CommitState>,
-    cv: Condvar,
-}
-
-impl CommitQueue {
-    fn new(window: Duration, durable_through: u64, file: Arc<File>) -> Arc<CommitQueue> {
-        Arc::new(CommitQueue {
-            window,
-            state: Mutex::new(CommitState {
-                written: durable_through,
-                durable: durable_through,
-                leader: false,
-                epoch: 0,
-                poisoned: false,
-                file,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Lock the state, recovering from a poisoned mutex (the data is a
-    /// handful of counters, always internally consistent).
-    fn lock(&self) -> MutexGuard<'_, CommitState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    fn note_write(&self, seq: u64) {
-        let mut st = self.lock();
-        st.written = st.written.max(seq);
-    }
-
-    fn note_durable(&self, seq: u64) {
-        let mut st = self.lock();
-        st.durable = st.durable.max(seq);
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    fn swap_file(&self, file: Arc<File>) {
-        self.lock().file = file;
-    }
-
-    /// A rewind discarded every record after `reset_to`: error out
-    /// pending riders (their sequence numbers will be reissued) and
-    /// restart the counters.
-    fn rewound(&self, reset_to: u64) {
-        let mut st = self.lock();
-        st.epoch += 1;
-        st.written = reset_to;
-        st.durable = reset_to;
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Nothing more will become durable: wake every pending rider with
-    /// an error instead of letting them hang.
-    fn poison(&self) {
-        self.lock().poisoned = true;
-        self.cv.notify_all();
-    }
-
-    fn current_epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
-    /// Block until `seq` (from `epoch`) is durable. The first
-    /// non-durable waiter becomes the leader: it gives later appends up
-    /// to the commit window to pile in — leaving early once a poll
-    /// slice passes with no new writes — then issues one fsync for the
-    /// whole batch.
-    fn wait_durable(&self, epoch: u64, seq: u64) -> Result<(), PersistError> {
-        let mut st = self.lock();
-        loop {
-            if st.epoch != epoch {
-                return Err(PersistError::Io(std::io::Error::other(
-                    "append discarded by a rewind before its batched fsync landed",
-                )));
-            }
-            if st.durable >= seq {
-                return Ok(());
-            }
-            if st.poisoned {
-                return Err(PersistError::Io(std::io::Error::other(
-                    "commit queue poisoned: a batched fsync failed or the store died",
-                )));
-            }
-            if st.leader {
-                st = match self.cv.wait(st) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                continue;
-            }
-            st.leader = true;
-            let deadline = Instant::now() + self.window;
-            loop {
-                let seen = st.written;
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                drop(st);
-                std::thread::sleep(COMMIT_SLICE.min(deadline - now));
-                st = self.lock();
-                if st.written == seen || st.epoch != epoch {
-                    // The batch quiesced (or the world changed under
-                    // us): fsync now, don't burn the rest of the window.
-                    break;
-                }
-            }
-            let target = st.written;
-            let file = Arc::clone(&st.file);
-            drop(st);
-            let synced = file.sync_data();
-            st = self.lock();
-            st.leader = false;
-            match synced {
-                Ok(()) => {
-                    if st.epoch == epoch {
-                        st.durable = st.durable.max(target);
-                    }
-                }
-                Err(_) => st.poisoned = true,
-            }
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// A claim check for a group-committed append: [`wait`](Self::wait)
-/// blocks until the record's batched fsync lands (or fails). Wait
-/// *after* releasing the shard lock, so concurrent appends can ride the
-/// same batch — waiting under the lock serializes the queue and buys
-/// nothing.
-pub struct CommitTicket {
-    queue: Arc<CommitQueue>,
-    epoch: u64,
-    seq: u64,
-}
-
-impl CommitTicket {
-    /// Block until the append this ticket was issued for is durable.
-    pub fn wait(self) -> Result<(), PersistError> {
-        self.queue.wait_durable(self.epoch, self.seq)
-    }
-}
-
 /// The segment currently being appended to.
 struct ActiveSegment {
-    /// Shared with the commit queue, which fsyncs it from rider threads.
-    file: Arc<File>,
+    file: File,
     /// This segment's number (its header and file name agree).
     no: u64,
     /// Bytes on disk (header + complete frames).
@@ -1109,7 +927,7 @@ fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
     let mut crc = Crc32::new();
     crc.update(&header);
     Ok(ActiveSegment {
-        file: Arc::new(file),
+        file,
         no,
         len: SEGMENT_HEADER_BYTES as u64,
         crc,
@@ -1159,20 +977,19 @@ fn scan_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
 }
 
 /// One shard's durable store: the active segment's append handle, its
-/// sealed predecessors, the checkpoint writer, the group-commit queue
-/// and the armed crash point.
+/// sealed predecessors, the checkpoint writer and the armed crash point.
 pub struct ShardStore {
     dir: PathBuf,
     sync: WalSync,
     /// Roll threshold: seal the active segment once it reaches this.
     segment_bytes: u64,
-    /// Group-commit batch window; zero = inline fsync per append.
-    window: Duration,
     active: ActiveSegment,
     /// The lowest segment number still on disk; sealed predecessors of
     /// the active segment are `oldest_no..active.no`.
     oldest_no: u64,
-    queue: Arc<CommitQueue>,
+    /// Under [`WalSync::Always`]: records were appended since the last
+    /// fsync that covered them, so [`sync`](ShardStore::sync) has work.
+    unsynced: bool,
     /// Next sequence number to append.
     next_seq: u64,
     /// Last sequence folded into the durable checkpoint.
@@ -1183,6 +1000,9 @@ pub struct ShardStore {
     checkpoints: u64,
     /// Segment seals performed since the store was opened.
     seals: u64,
+    /// Fsyncs [`sync`](ShardStore::sync) has issued since the store was
+    /// opened.
+    syncs: u64,
     crash: Option<CrashSpec>,
     /// A fired crash point leaves the store dead: every later operation
     /// reports the crash again instead of quietly resuming.
@@ -1409,7 +1229,7 @@ impl ShardStore {
                         crc.update(&segment_header(s.no));
                     }
                     ActiveSegment {
-                        file: Arc::new(file),
+                        file,
                         no: s.no,
                         len: disk_len,
                         crc,
@@ -1421,21 +1241,20 @@ impl ShardStore {
         };
         let oldest_no = oldest_no.unwrap_or(active.no).min(active.no);
         let next_seq = records.last().map_or(ckpt_seq, |r| r.seq) + 1;
-        let queue = CommitQueue::new(tuning.commit_window, next_seq - 1, Arc::clone(&active.file));
         Ok((
             ShardStore {
                 dir: dir.to_path_buf(),
                 sync,
                 segment_bytes: tuning.segment_bytes,
-                window: tuning.commit_window,
                 active,
                 oldest_no,
-                queue,
+                unsynced: false,
                 next_seq,
                 ckpt_seq,
                 appends: 0,
                 checkpoints: 0,
                 seals: 0,
+                syncs: 0,
                 crash: None,
                 dead: false,
             },
@@ -1478,35 +1297,44 @@ impl ShardStore {
         (self.oldest_no, self.active.no)
     }
 
-    /// Whether appends ride the group-commit queue (sync `always` with
-    /// a nonzero commit window).
-    fn group_commit(&self) -> bool {
-        self.sync == WalSync::Always && !self.window.is_zero()
+    /// Fsyncs [`sync`](Self::sync) has issued since the store was
+    /// opened. Seals and checkpoints fsync too but are not counted here.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
-    /// The ticket to wait on for `seq` to become durable, if this store
-    /// group-commits. `None` means the append is already as durable as
-    /// the sync policy makes it (inline fsync, or no fsync at all).
-    pub fn commit_ticket(&self, seq: u64) -> Option<CommitTicket> {
-        if !self.group_commit() {
-            return None;
+    /// Make every record appended so far durable with one fsync of the
+    /// active segment. A no-op when nothing is unsynced, which is always
+    /// the case under [`WalSync::Off`].
+    ///
+    /// A failed fsync kills the store, exactly like a failed append: the
+    /// records it should have covered may or may not be on the platter,
+    /// so every later operation (this method included) errors rather
+    /// than acknowledging them.
+    pub fn sync(&mut self) -> Result<(), PersistError> {
+        if !self.unsynced {
+            return Ok(());
         }
-        Some(CommitTicket {
-            queue: Arc::clone(&self.queue),
-            epoch: self.queue.current_epoch(),
-            seq,
-        })
+        if self.dead {
+            return Err(PersistError::CrashInjected);
+        }
+        if let Err(e) = self.active.file.sync_data() {
+            self.kill();
+            return Err(e.into());
+        }
+        self.unsynced = false;
+        self.syncs += 1;
+        Ok(())
     }
 
     /// Append one whole-clip access to the WAL, returning its sequence
     /// number.
     ///
     /// The frame is flushed to the OS before the call returns; with
-    /// [`WalSync::Always`] it is also fsynced — inline when the commit
-    /// window is zero, else by the batched fsync the returned sequence
-    /// number's [`commit_ticket`](Self::commit_ticket) waits on. An
-    /// armed crash point may fire here: `torn:N` writes half the frame
-    /// then dies, `append:N` dies after the frame is durable, and
+    /// [`WalSync::Always`] it becomes durable at the next
+    /// [`sync`](Self::sync) (or seal, checkpoint or crash-point fsync).
+    /// An armed crash point may fire here: `torn:N` writes half the
+    /// frame then dies, `append:N` dies after the frame is durable, and
     /// `seal:N` / `segment-roll:N` fire if this append fills the
     /// segment.
     ///
@@ -1548,12 +1376,8 @@ impl ShardStore {
                 f.write_all(&frame[..frame.len() / 2])?;
                 f.flush()?;
                 self.active.file.sync_data()?;
-                // That fsync also made every earlier record in the
-                // segment durable: release any riders before the store
-                // goes dead.
-                if self.group_commit() {
-                    self.queue.note_durable(self.active.last_seq);
-                }
+                // That fsync also made every earlier record durable.
+                self.unsynced = false;
                 self.dead = true;
                 return Err(PersistError::CrashInjected);
             }
@@ -1570,9 +1394,6 @@ impl ShardStore {
         self.active.crc.update(&frame);
         self.active.last_seq = record.seq;
         self.active.records += 1;
-        if self.group_commit() {
-            self.queue.note_write(record.seq);
-        }
         self.appends += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -1583,9 +1404,7 @@ impl ShardStore {
             if self.appends == n {
                 // The record IS durable; the process dies right after.
                 self.active.file.sync_data()?;
-                if self.group_commit() {
-                    self.queue.note_durable(seq);
-                }
+                self.unsynced = false;
                 self.dead = true;
                 return Err(PersistError::CrashInjected);
             }
@@ -1597,14 +1416,14 @@ impl ShardStore {
     }
 
     /// The fallible I/O of one append; [`append`](Self::append) kills
-    /// the store if any step fails. Inline fsync happens only with a
-    /// zero commit window — otherwise the batched fsync owns it.
+    /// the store if any step fails. The fsync is left to
+    /// [`sync`](Self::sync).
     fn write_frame(&mut self, frame: &[u8]) -> Result<(), PersistError> {
         let mut f: &File = &self.active.file;
         f.write_all(frame)?;
         f.flush()?;
-        if self.sync == WalSync::Always && self.window.is_zero() {
-            self.active.file.sync_data()?;
+        if self.sync == WalSync::Always {
+            self.unsynced = true;
         }
         Ok(())
     }
@@ -1633,9 +1452,7 @@ impl ShardStore {
                 self.active.file.sync_data()?;
                 // The partial-footer fsync still made every record in
                 // the segment durable.
-                if self.group_commit() {
-                    self.queue.note_durable(self.active.last_seq);
-                }
+                self.unsynced = false;
                 self.dead = true;
                 return Err(PersistError::CrashInjected);
             }
@@ -1652,9 +1469,7 @@ impl ShardStore {
         }
         self.seals += 1;
         // The seal fsync made every record in this segment durable.
-        if self.group_commit() {
-            self.queue.note_durable(self.active.last_seq);
-        }
+        self.unsynced = false;
         if let Some(CrashSpec {
             point: CrashPoint::SegmentRoll(n),
         }) = self.crash
@@ -1669,7 +1484,6 @@ impl ShardStore {
         match create_segment(&self.dir, self.active.no + 1) {
             Ok(next) => {
                 self.active = next;
-                self.queue.swap_file(Arc::clone(&self.active.file));
                 Ok(())
             }
             Err(e) => {
@@ -1721,11 +1535,8 @@ impl ShardStore {
         self.checkpoints += 1;
         self.ckpt_seq = ckpt.seq;
         self.next_seq = ckpt.seq + 1;
-        // Everything the checkpoint covers is durable via the
-        // checkpoint itself: release any riders still in the window.
-        if self.group_commit() {
-            self.queue.note_durable(ckpt.seq);
-        }
+        // The checkpoint itself makes everything it covers durable.
+        self.unsynced = false;
         Ok(())
     }
 
@@ -1769,18 +1580,17 @@ impl ShardStore {
     /// Mark the store dead, as after a fired crash point: every later
     /// operation reports [`PersistError::CrashInjected`]. Used when an
     /// I/O failure leaves disk and memory describing different states —
-    /// refusing further appends beats silently diverging. Pending
-    /// group-commit riders are woken with an error, never left hanging.
+    /// refusing further appends beats silently diverging. Records not
+    /// yet synced stay unsynced, so a later [`sync`](Self::sync) errors
+    /// instead of acknowledging them.
     pub fn kill(&mut self) {
         self.dead = true;
-        self.queue.poison();
     }
 
     /// Discard every WAL record after the checkpoint — the durable
     /// counterpart of a poisoned shard's rewind-to-checkpoint, keeping
-    /// disk and memory describing the same state. Pending group-commit
-    /// riders error out (their records are gone; their sequence numbers
-    /// will be reissued).
+    /// disk and memory describing the same state. The truncation is
+    /// fsynced, so nothing is left to sync afterwards.
     pub fn rewind_to_checkpoint(&mut self) -> Result<(), PersistError> {
         if self.dead {
             return Err(PersistError::CrashInjected);
@@ -1792,9 +1602,7 @@ impl ShardStore {
             return Err(e);
         }
         self.next_seq = self.ckpt_seq + 1;
-        if self.group_commit() {
-            self.queue.rewound(self.ckpt_seq);
-        }
+        self.unsynced = false;
         Ok(())
     }
 }

@@ -2,7 +2,7 @@ use super::*;
 use clipcache_core::PolicyKind;
 use clipcache_media::paper;
 use clipcache_workload::Timestamp;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("clipcache-persist-{}-{tag}", std::process::id()));
@@ -34,19 +34,11 @@ fn seg1(dir: &Path) -> PathBuf {
 }
 
 /// Tuning that rolls after every two records (24-byte header + two
-/// 25-byte frames = 74), with no commit window.
+/// 25-byte frames = 74).
 fn tiny_segments() -> WalTuning {
     WalTuning {
         segment_bytes: 74,
-        commit_window: Duration::ZERO,
-    }
-}
-
-/// Tuning that group-commits with the given batch window.
-fn windowed(window: Duration) -> WalTuning {
-    WalTuning {
-        segment_bytes: DEFAULT_SEGMENT_BYTES,
-        commit_window: window,
+        ..WalTuning::default()
     }
 }
 
@@ -807,50 +799,45 @@ fn segment_roll_crash_recovers_with_a_fresh_successor() {
     assert_eq!(state.records.len(), 3);
 }
 
-// ---- group-commit tests -----------------------------------------------
+// ---- commit-point tests ----------------------------------------------
 
 #[test]
-fn commit_tickets_exist_only_under_sync_always_with_a_window() {
-    let window = Duration::from_micros(100);
-    let dir = tmp_dir("ticket-gate");
-    {
-        let (mut store, _) =
-            ShardStore::open_tuned(&dir, WalSync::Always, windowed(window)).unwrap();
-        let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-        let ticket = store.commit_ticket(seq).expect("group commit is on");
-        ticket.wait().expect("the batched fsync lands");
+fn sync_fsyncs_once_for_everything_appended_since_the_last_sync() {
+    let dir = tmp_dir("sync-count");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Always).unwrap();
+    store.sync().unwrap();
+    assert_eq!(store.syncs(), 0, "nothing appended, nothing to fsync");
+    for clip in 1..=5 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
     }
-    // Zero window: inline fsync per append, no tickets.
-    let dir0 = tmp_dir("ticket-gate-zero");
-    let (mut store, _) = ShardStore::open(&dir0, WalSync::Always).unwrap();
-    let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    assert!(store.commit_ticket(seq).is_none());
-    // Sync off: durability is not promised, no tickets either.
-    let dir_off = tmp_dir("ticket-gate-off");
-    let (mut store, _) = ShardStore::open_tuned(&dir_off, WalSync::Off, windowed(window)).unwrap();
-    let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    assert!(store.commit_ticket(seq).is_none());
+    assert_eq!(store.syncs(), 0, "appends alone never fsync");
+    store.sync().unwrap();
+    store.sync().unwrap();
+    assert_eq!(store.syncs(), 1, "one fsync covers the whole batch");
+    // Sync off: durability is not promised, so sync never fsyncs.
+    let dir_off = tmp_dir("sync-count-off");
+    let (mut store, _) = ShardStore::open(&dir_off, WalSync::Off).unwrap();
+    store.append(WalOp::Get, ClipId::new(1)).unwrap();
+    store.sync().unwrap();
+    assert_eq!(store.syncs(), 0);
 }
 
 #[test]
-fn concurrent_appends_ride_one_batched_fsync() {
-    let dir = tmp_dir("group");
-    let tuning = windowed(Duration::from_millis(2));
-    let (store, _) = ShardStore::open_tuned(&dir, WalSync::Always, tuning).unwrap();
+fn concurrent_appends_share_syncs_and_all_reach_the_disk() {
+    let dir = tmp_dir("shared-sync");
+    let (store, _) = ShardStore::open(&dir, WalSync::Always).unwrap();
     let store = Arc::new(Mutex::new(store));
     let threads: Vec<_> = (0..4u32)
         .map(|t| {
             let store = Arc::clone(&store);
             std::thread::spawn(move || {
                 for i in 0..25u32 {
-                    // Hold the lock only for the append, like the shard
-                    // does; ride the batch outside it.
-                    let ticket = {
-                        let mut s = store.lock().unwrap();
-                        let seq = s.append(WalOp::Get, ClipId::new(t * 25 + i + 1)).unwrap();
-                        s.commit_ticket(seq).expect("group commit is on")
-                    };
-                    ticket.wait().expect("batched fsync lands");
+                    // Append and sync under separate lock holds, like a
+                    // service caller: another thread's sync may cover
+                    // this append, and this sync then has nothing to do.
+                    let clip = ClipId::new(t * 25 + i + 1);
+                    store.lock().unwrap().append(WalOp::Get, clip).unwrap();
+                    store.lock().unwrap().sync().expect("sync lands");
                 }
             })
         })
@@ -858,61 +845,73 @@ fn concurrent_appends_ride_one_batched_fsync() {
     for t in threads {
         t.join().unwrap();
     }
+    let syncs = store.lock().unwrap().syncs();
+    assert!(syncs <= 100, "{syncs} fsyncs for 100 appends");
     drop(store);
     let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
-    assert_eq!(state.records.len(), 100, "every acked append is on disk");
+    assert_eq!(state.records.len(), 100, "every synced append is on disk");
     assert_eq!(state.torn_bytes_dropped, 0);
 }
 
 #[test]
-fn rewinds_and_kills_wake_pending_tickets_with_errors() {
-    let window = Duration::from_secs(5); // longer than the test: only
-                                         // explicit wakeups end a wait
-    let dir = tmp_dir("ticket-rewind");
-    let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Always, windowed(window)).unwrap();
+fn sync_on_a_killed_store_errors_and_rewinds_stay_discarded() {
+    let dir = tmp_dir("sync-rewind");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Always).unwrap();
     let mut ckpt = sample_checkpoint();
     ckpt.seq = 0;
     store.checkpoint(&ckpt).unwrap();
-    let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    let ticket = store.commit_ticket(seq).unwrap();
+    store.append(WalOp::Get, ClipId::new(1)).unwrap();
     store.rewind_to_checkpoint().unwrap();
-    // The record the ticket covered was discarded; waiting must error,
-    // not hang and not claim durability.
-    assert!(matches!(ticket.wait(), Err(PersistError::Io(_))));
-    // A killed store wakes riders with an error too.
-    let seq = store.append(WalOp::Get, ClipId::new(2)).unwrap();
-    let ticket = store.commit_ticket(seq).unwrap();
+    // The rewind discarded the record and fsynced the truncation: a
+    // sync has nothing to make durable, and must not bring it back.
+    store.sync().unwrap();
+    assert_eq!(store.syncs(), 0);
+    assert_eq!(store.append(WalOp::Get, ClipId::new(2)).unwrap(), 1);
+    store.sync().unwrap();
+    // A killed store cannot vouch for what it had not yet synced.
+    store.append(WalOp::Get, ClipId::new(3)).unwrap();
     store.kill();
-    assert!(matches!(ticket.wait(), Err(PersistError::Io(_))));
+    assert!(matches!(store.sync(), Err(PersistError::CrashInjected)));
+    assert!(
+        matches!(store.sync(), Err(PersistError::CrashInjected)),
+        "the failure is sticky, never a later Ok"
+    );
+    drop(store);
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    let clips: Vec<u32> = state.records.iter().map(|r| r.clip.get()).collect();
+    assert_eq!(clips, vec![2, 3], "the rewound record stays discarded");
 }
 
 #[test]
-fn crash_points_release_riders_before_dying() {
-    // Every injected death that fsyncs must mark the synced records
-    // durable so a concurrent rider is woken with Ok, never left
-    // hanging on a dead store.
-    let window = Duration::from_secs(5);
-    for (spec, clip_count) in [("append:2", 2u32), ("torn:2", 1), ("seal:1", 2)] {
-        let dir = tmp_dir(&format!("rider-{}", spec.replace(':', "-")));
-        let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Always, {
-            let mut t = windowed(window);
-            t.segment_bytes = 74; // roll after two records
-            t
-        })
-        .unwrap();
+fn crash_point_fsyncs_leave_acked_appends_on_disk() {
+    // Every injected death that fsyncs makes the appends before it
+    // durable, so a sync afterwards has nothing left to vouch for and
+    // succeeds; a death that does not fsync leaves them unsynced, and
+    // the sync errors instead of acknowledging them.
+    for (spec, synced, on_disk) in [
+        ("append:2", true, 2usize),
+        ("torn:2", true, 1),
+        ("seal:1", true, 2),
+        ("checkpoint:1", false, 1),
+    ] {
+        let dir = tmp_dir(&format!("crash-sync-{}", spec.replace(':', "-")));
+        let (mut store, _) =
+            ShardStore::open_tuned(&dir, WalSync::Always, tiny_segments()).unwrap();
         store.arm_crash(Some(CrashSpec::parse(spec).unwrap()));
-        let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-        let ticket = store.commit_ticket(seq).unwrap();
-        // The second append triggers the crash point...
-        let _ = store.append(WalOp::Get, ClipId::new(2));
-        // ...whose fsync (full or partial) made record 1 durable.
-        ticket
-            .wait()
-            .unwrap_or_else(|e| panic!("rider of seq 1 must be released by {spec}: {e}"));
+        store.append(WalOp::Get, ClipId::new(1)).unwrap();
+        // The second operation fires the crash point.
+        if spec.starts_with("checkpoint") {
+            let mut ckpt = sample_checkpoint();
+            ckpt.seq = 1;
+            assert!(store.checkpoint(&ckpt).is_err());
+        } else {
+            assert!(store.append(WalOp::Get, ClipId::new(2)).is_err());
+        }
+        assert_eq!(store.sync().is_ok(), synced, "{spec}");
         drop(store);
         let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
         assert!(
-            state.records.len() >= clip_count as usize,
+            state.records.len() >= on_disk,
             "{spec}: acked records survive"
         );
     }

@@ -25,6 +25,18 @@
 //! buffered complete request is executed and its reply flushed) before
 //! closing.
 //!
+//! ## One commit per turn
+//!
+//! A turn is one `epoll_wait` plus the handling of every event it
+//! returned. Each request's reply is *held* on its connection; at the
+//! end of the turn the loop calls [`CacheService::sync`] once (one
+//! fsync per dirty shard under `--wal-sync always`, nothing otherwise)
+//! and only then writes the held replies — or an `ERR` in place of
+//! each, if the sync failed. So no reply leaves before the fsync
+//! covering its WAL record, and requests that arrive together share
+//! it. [`ServerConfig::commit_window`] lets a turn linger for more
+//! ready requests before its sync.
+//!
 //! ## Resilience
 //!
 //! The failure contract is unchanged from the thread-per-connection
@@ -173,6 +185,10 @@ pub struct ServerConfig {
     pub cluster: Option<ClusterSpec>,
     /// Overload watermarks for the two-tier governor.
     pub governor: GovernorConfig,
+    /// Longest a turn lingers for more ready requests before its commit
+    /// point (`--commit-window-us`; zero = sync as soon as the turn's
+    /// events are handled).
+    pub commit_window: Duration,
 }
 
 /// Minimal safe wrapper over the vendored epoll shim. Owns the epoll
@@ -373,8 +389,16 @@ struct Conn {
     stream: TcpStream,
     /// Unconsumed input bytes (partial lines / torn frame prefixes).
     rbuf: Vec<u8>,
-    /// Encoded replies not yet written to the socket.
+    /// Committed replies not yet written to the socket.
     wbuf: VecDeque<u8>,
+    /// Replies executed this turn, held until the turn's commit point.
+    held: Vec<u8>,
+    /// The wire of each held reply, in order, so a failed commit can
+    /// answer every one with an `ERR` its client can parse.
+    held_wires: Vec<Wire>,
+    /// Reading stopped at the soft cap with input possibly still queued
+    /// in the socket; resume once the commit has drained some output.
+    stalled: bool,
     /// Close once `wbuf` is flushed (QUIT, fatal protocol error, idle).
     closing: bool,
     /// The peer half-closed or errored; no more reads will succeed.
@@ -385,6 +409,34 @@ struct Conn {
     last_request: Instant,
     /// Protocol of the most recent message (for unsolicited replies).
     wire: Wire,
+}
+
+impl Conn {
+    /// Reply bytes not yet on the socket, committed or held.
+    fn pending(&self) -> usize {
+        self.wbuf.len() + self.held.len()
+    }
+
+    /// Hold `reply`, in the wire of the current request, for the commit.
+    fn hold(&mut self, reply: &Reply) {
+        encode_in(self.wire, reply, &mut self.held);
+        self.held_wires.push(self.wire);
+    }
+
+    /// Move the held replies into the write buffer once the commit point
+    /// has passed; if it failed, an `ERR` naming `failure` replaces each.
+    fn release(&mut self, failure: Option<&str>) {
+        if let Some(reason) = failure {
+            let reply = Reply::Err(reason.to_string());
+            self.held.clear();
+            for &wire in &self.held_wires {
+                encode_in(wire, &reply, &mut self.held);
+            }
+        }
+        self.wbuf.extend(&self.held);
+        self.held.clear();
+        self.held_wires.clear();
+    }
 }
 
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -406,6 +458,10 @@ struct EventLoop {
     live: usize,
     /// GETs refused with `BUSY` by the governor (reported in `STATS`).
     shed: u64,
+    /// Connections holding replies for this turn's commit.
+    touched: Vec<usize>,
+    /// Stalled connections to read again next turn.
+    resume: Vec<usize>,
 }
 
 impl EventLoop {
@@ -432,6 +488,8 @@ impl EventLoop {
             free: Vec::new(),
             live: 0,
             shed: 0,
+            touched: Vec::new(),
+            resume: Vec::new(),
         })
     }
 
@@ -439,34 +497,83 @@ impl EventLoop {
     /// Recomputed at each readiness event, not tracked incrementally —
     /// the slab is small and the sum is cheap next to a socket write.
     fn pending_bytes(&self) -> usize {
-        self.conns
-            .iter()
-            .flatten()
-            .map(|conn| conn.wbuf.len())
-            .sum()
+        self.conns.iter().flatten().map(Conn::pending).sum()
     }
 
+    /// One turn per iteration: handle every ready event, linger if
+    /// configured, then commit.
     fn run(&mut self) {
         let mut events = vec![libc::epoll_event { events: 0, u64: 0 }; 1024];
         loop {
-            let n = self
-                .epoll
-                .wait(&mut events, POLL_INTERVAL.as_millis() as i32);
-            for ev in events.iter().take(n) {
-                let token = ev.u64;
-                let bits = ev.events;
-                match token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => self.wake.drain(),
-                    _ => self.conn_ready(token as usize, bits),
-                }
+            let timeout = if self.resume.is_empty() {
+                POLL_INTERVAL.as_millis() as i32
+            } else {
+                0
+            };
+            let n = self.epoll.wait(&mut events, timeout);
+            self.dispatch(&events[..n]);
+            for token in std::mem::take(&mut self.resume) {
+                self.conn_ready(token, libc::EPOLLIN);
             }
+            self.linger(&mut events);
+            self.commit();
             if self.shutdown.load(Ordering::SeqCst) {
                 self.drain_and_close_all();
                 return;
             }
             self.sweep_idle();
         }
+    }
+
+    fn dispatch(&mut self, events: &[libc::epoll_event]) {
+        for ev in events {
+            match ev.u64 {
+                LISTENER_TOKEN => self.accept_ready(),
+                WAKE_TOKEN => self.wake.drain(),
+                token => self.conn_ready(token as usize, ev.events),
+            }
+        }
+    }
+
+    /// Keep taking newly ready requests into this turn, with zero-timeout
+    /// polls, until none are ready or the commit window has passed.
+    fn linger(&mut self, events: &mut [libc::epoll_event]) {
+        if self.config.commit_window.is_zero() || self.touched.is_empty() {
+            return;
+        }
+        let deadline = Instant::now() + self.config.commit_window;
+        while Instant::now() < deadline {
+            let n = self.epoll.wait(events, 0);
+            if n == 0 {
+                return;
+            }
+            self.dispatch(&events[..n]);
+        }
+    }
+
+    /// The turn's commit point: one [`CacheService::sync`] makes every
+    /// WAL record of the turn durable, and only then are the held
+    /// replies written. If it fails, each becomes an `ERR` instead.
+    fn commit(&mut self) {
+        if self.touched.is_empty() {
+            return;
+        }
+        let failure = self.service.sync().err().map(|e| e.to_string());
+        let mut touched = std::mem::take(&mut self.touched);
+        for &token in &touched {
+            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
+                continue;
+            };
+            conn.release(failure.as_deref());
+            Self::flush(conn);
+            if conn.stalled && conn.pending() < WBUF_SOFT_CAP {
+                conn.stalled = false;
+                self.resume.push(token);
+            }
+            self.update_interest(token);
+        }
+        touched.clear();
+        self.touched = touched;
     }
 
     /// Accept until `WouldBlock` (edge-triggered listener).
@@ -507,6 +614,9 @@ impl EventLoop {
                 stream,
                 rbuf: Vec::new(),
                 wbuf: VecDeque::new(),
+                held: Vec::new(),
+                held_wires: Vec::new(),
+                stalled: false,
                 closing: false,
                 eof: false,
                 want_write: false,
@@ -517,7 +627,9 @@ impl EventLoop {
         }
     }
 
-    /// Handle readiness on connection `token`.
+    /// Handle readiness on connection `token`: flush committed output,
+    /// execute every complete request, and hold their replies for the
+    /// turn's commit.
     fn conn_ready(&mut self, token: usize, bits: u32) {
         // Global pending bytes are snapshotted once per readiness event;
         // requests executed inside this event add their own replies on
@@ -526,10 +638,16 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return; // already closed earlier in this batch
         };
+        let had_held = !conn.held_wires.is_empty();
         if bits & (libc::EPOLLERR | libc::EPOLLHUP) != 0 {
             conn.eof = true;
         }
-        if bits & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0 {
+        if bits & libc::EPOLLOUT != 0 {
+            Self::flush(conn);
+        }
+        // On EPOLLOUT too: drained output releases backpressure on any
+        // input that piled up meanwhile.
+        if bits & (libc::EPOLLIN | libc::EPOLLRDHUP | libc::EPOLLOUT) != 0 {
             Self::read_and_process(
                 conn,
                 &self.service,
@@ -539,21 +657,8 @@ impl EventLoop {
                 global,
             );
         }
-        if bits & libc::EPOLLOUT != 0 || !conn.wbuf.is_empty() {
-            Self::flush(conn);
-            // Backpressure release: reply bytes drained, resume
-            // consuming any input that piled up meanwhile.
-            if conn.wbuf.len() < WBUF_SOFT_CAP && !conn.closing {
-                Self::read_and_process(
-                    conn,
-                    &self.service,
-                    &self.config,
-                    &mut self.cluster,
-                    &mut self.shed,
-                    global,
-                );
-                Self::flush(conn);
-            }
+        if !had_held && !conn.held_wires.is_empty() {
+            self.touched.push(token);
         }
         self.update_interest(token);
     }
@@ -571,7 +676,8 @@ impl EventLoop {
         if conn.closing {
             return;
         }
-        if conn.wbuf.len() >= WBUF_SOFT_CAP {
+        if conn.pending() >= WBUF_SOFT_CAP {
+            conn.stalled = true;
             return; // backpressure: let the client drain replies first
         }
         let mut chunk = [0u8; READ_CHUNK];
@@ -583,7 +689,8 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
-                    if conn.rbuf.len() + conn.wbuf.len() > WBUF_SOFT_CAP {
+                    if conn.rbuf.len() + conn.pending() > WBUF_SOFT_CAP {
+                        conn.stalled = true;
                         break; // bounded memory per connection
                     }
                 }
@@ -604,7 +711,7 @@ impl EventLoop {
     }
 
     /// Execute every complete request sitting in `rbuf` — the server
-    /// half of pipelining.
+    /// half of pipelining — holding each reply for the turn's commit.
     fn process_buffered(
         conn: &mut Conn,
         service: &CacheService,
@@ -614,14 +721,14 @@ impl EventLoop {
         global: usize,
     ) {
         let mut consumed = 0usize;
-        let mut out: Vec<u8> = Vec::new();
+        let start = conn.held.len();
         while consumed < conn.rbuf.len() && !conn.closing {
             // Classify under the replies already produced this batch,
             // so a pipelined flood trips the governor mid-batch instead
             // of after the batch has bought 4 MiB of output.
             let tier = config
                 .governor
-                .tier(conn.wbuf.len() + out.len(), global + out.len());
+                .tier(conn.pending(), global + conn.held.len() - start);
             let rest = &conn.rbuf[consumed..];
             if rest[0] == FRAME_MAGIC {
                 conn.wire = Wire::Binary;
@@ -630,8 +737,9 @@ impl EventLoop {
                     Ok(Decoded::Frame { value, consumed: n }) => {
                         consumed += n;
                         conn.last_request = Instant::now();
-                        let (reply, quit) = execute(service, config, cluster, tier, shed, Ok(value));
-                        encode_reply(&reply, &mut out);
+                        let (reply, quit) =
+                            execute(service, config, cluster, tier, shed, Ok(value));
+                        conn.hold(&reply);
                         if quit {
                             conn.closing = true;
                         }
@@ -641,7 +749,7 @@ impl EventLoop {
                         // frame first, then (for untrusted lengths)
                         // the close.
                         consumed += err.consumed;
-                        encode_reply(&Reply::Err(err.reason), &mut out);
+                        conn.hold(&Reply::Err(err.reason));
                         if err.fatal {
                             conn.closing = true;
                         }
@@ -654,7 +762,7 @@ impl EventLoop {
                         if rest.len() > MAX_LINE_BYTES {
                             // A newline-less flood; refuse before the
                             // buffer grows without bound.
-                            out.extend_from_slice(b"ERR request line too long\n");
+                            conn.hold(&Reply::Err("request line too long".into()));
                             conn.closing = true;
                         }
                         break;
@@ -665,8 +773,7 @@ impl EventLoop {
                         conn.last_request = Instant::now();
                         let (reply, quit) =
                             execute(service, config, cluster, tier, shed, parse_command(&line));
-                        out.extend_from_slice(format_reply_text(&reply).as_bytes());
-                        out.push(b'\n');
+                        conn.hold(&reply);
                         if quit {
                             conn.closing = true;
                         }
@@ -675,7 +782,6 @@ impl EventLoop {
             }
         }
         conn.rbuf.drain(..consumed);
-        conn.wbuf.extend(out);
     }
 
     /// Write pending reply bytes until `WouldBlock` or empty.
@@ -702,13 +808,13 @@ impl EventLoop {
         }
     }
 
-    /// Re-register `EPOLLOUT` interest to match pending output, and
-    /// close the connection when it is finished.
+    /// Re-register `EPOLLOUT` interest to match committed output, and
+    /// close the connection once nothing is left to send.
     fn update_interest(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return;
         };
-        let finished = (conn.closing && conn.wbuf.is_empty()) || (conn.eof && conn.wbuf.is_empty());
+        let finished = (conn.closing || conn.eof) && conn.pending() == 0;
         if finished {
             self.close_conn(token);
             return;
@@ -753,18 +859,9 @@ impl EventLoop {
             if conn.closing || now.duration_since(conn.last_request) < budget {
                 continue;
             }
-            let reply = Reply::Err("idle timeout".into());
-            match conn.wire {
-                Wire::Text => {
-                    conn.wbuf.extend(format_reply_text(&reply).as_bytes());
-                    conn.wbuf.push_back(b'\n');
-                }
-                Wire::Binary => {
-                    let mut out = Vec::new();
-                    encode_reply(&reply, &mut out);
-                    conn.wbuf.extend(out);
-                }
-            }
+            let mut out = Vec::new();
+            encode_in(conn.wire, &Reply::Err("idle timeout".into()), &mut out);
+            conn.wbuf.extend(out);
             conn.closing = true;
             Self::flush(conn);
             self.update_interest(token);
@@ -773,22 +870,15 @@ impl EventLoop {
 
     /// Graceful shutdown: stop accepting, take one final opportunistic
     /// read per connection (bytes the peer already sent), execute every
-    /// buffered complete request, and flush all replies with blocking
-    /// writes so in-flight pipelined requests are answered, not dropped.
+    /// buffered complete request, commit them as one last turn, and
+    /// flush all replies with blocking writes so in-flight pipelined
+    /// requests are answered, not dropped.
     fn drain_and_close_all(&mut self) {
         for token in 0..self.conns.len() {
-            let global = self.pending_bytes();
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                continue;
-            };
-            Self::read_and_process(
-                conn,
-                &self.service,
-                &self.config,
-                &mut self.cluster,
-                &mut self.shed,
-                global,
-            );
+            self.conn_ready(token, libc::EPOLLIN);
+        }
+        self.commit();
+        for conn in self.conns.iter_mut().flatten() {
             if !conn.wbuf.is_empty() {
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(5)));
@@ -880,6 +970,17 @@ fn execute(
         Err(e) => Reply::Err(e),
     };
     (reply, false)
+}
+
+/// Append `reply` to `out` in `wire`'s encoding.
+fn encode_in(wire: Wire, reply: &Reply, out: &mut Vec<u8>) {
+    match wire {
+        Wire::Text => {
+            out.extend_from_slice(format_reply_text(reply).as_bytes());
+            out.push(b'\n');
+        }
+        Wire::Binary => encode_reply(reply, out),
+    }
 }
 
 /// Render a reply as its text-protocol line (newline not included).

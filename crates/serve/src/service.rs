@@ -21,8 +21,19 @@
 //! `STATS` protocol reply) records that it happened. One panicking
 //! request can therefore no longer wedge a shard for the process
 //! lifetime — the next request heals it.
+//!
+//! ## Commit points
+//!
+//! Under `--wal-sync always` a request's WAL record is written but not
+//! yet fsynced when [`get`](CacheService::get) returns.
+//! [`sync`](CacheService::sync) is the commit point: it fsyncs every
+//! shard with unsynced records, and a reply may be acknowledged only
+//! after it returns `Ok`. The epoll server calls it once per event-loop
+//! turn; in-process callers call it after each request.
 
-use crate::persist::{CrashAction, PersistError, PersistOptions, RecoveryReport, ShardStore};
+use crate::persist::{
+    CrashAction, PersistError, PersistOptions, RecoveryReport, ShardStore, WalSync,
+};
 use crate::shard::{shard_of, shard_seed, GetOutcome, RangeOutcome, Shard, CHECKPOINT_EVERY};
 use clipcache_core::registry::BuildError;
 use clipcache_core::snapshot::CacheSnapshot;
@@ -136,6 +147,9 @@ pub struct CacheService {
     /// (mimicking `kill -9`), the in-process chaos tests surface
     /// [`ServiceError::Crashed`] instead.
     on_crash: CrashAction,
+    /// Opened with a data directory at `--wal-sync always`: only then
+    /// does [`sync`](Self::sync) have anything to do.
+    sync_always: bool,
 }
 
 impl CacheService {
@@ -173,6 +187,7 @@ impl CacheService {
             recoveries: AtomicU64::new(0),
             wal_replayed: 0,
             on_crash: CrashAction::Surface,
+            sync_always: false,
         })
     }
 
@@ -199,6 +214,7 @@ impl CacheService {
         let mut service = CacheService::new(repo, config, frequencies)
             .map_err(|e| PersistError::Build(e.to_string()))?;
         service.on_crash = opts.on_crash;
+        service.sync_always = opts.sync == WalSync::Always;
         let mut report = RecoveryReport::default();
         for i in 0..service.shards.len() {
             let dir = opts.dir.join(format!("shard-{i}"));
@@ -281,22 +297,46 @@ impl CacheService {
     }
 
     /// Service a request: route to the owning shard, access its cache,
-    /// record hit statistics. Locks exactly one shard; under group
-    /// commit the durability wait happens *after* the lock is released,
-    /// so concurrent requests on the shard ride one batched fsync.
+    /// record hit statistics. Locks exactly one shard. Under
+    /// `--wal-sync always` the outcome may be acknowledged only after a
+    /// later [`sync`](Self::sync) succeeds.
     pub fn get(&self, clip: ClipId) -> Result<GetOutcome, ServiceError> {
         let size = self
             .repo
             .get(clip)
             .ok_or(ServiceError::UnknownClip(clip))?
             .size;
-        let mut shard = self.lock_clip_shard(clip);
-        let (outcome, ticket) = shard.get(clip, size).map_err(|e| self.persist_failure(e))?;
-        drop(shard);
-        if let Some(ticket) = ticket {
-            ticket.wait().map_err(|e| self.persist_failure(e))?;
+        self.lock_clip_shard(clip)
+            .get(clip, size)
+            .map_err(|e| self.persist_failure(e))
+    }
+
+    /// The commit point: fsync every shard with records appended since
+    /// its last sync. Returns the first failure after trying every
+    /// shard; a failed shard's store is dead, so its later requests
+    /// error too. A no-op that takes no locks unless the service was
+    /// opened durably at `--wal-sync always`.
+    pub fn sync(&self) -> Result<(), ServiceError> {
+        if !self.sync_always {
+            return Ok(());
         }
-        Ok(outcome)
+        let mut result = Ok(());
+        for i in 0..self.shards.len() {
+            if let Err(e) = self.lock_shard(i).sync() {
+                if result.is_ok() {
+                    result = Err(self.persist_failure(e));
+                }
+            }
+        }
+        result
+    }
+
+    /// Fsyncs issued by [`sync`](Self::sync) across all shards since
+    /// the stores were opened.
+    pub fn wal_syncs(&self) -> u64 {
+        (0..self.shards.len())
+            .map(|i| self.lock_shard(i).syncs())
+            .sum()
     }
 
     /// Probe chunk-granular residency: is `chunk` of `clip` resident?
@@ -314,15 +354,9 @@ impl CacheService {
         if chunk >= total {
             return Err(ServiceError::ChunkOutOfRange { clip, chunk, total });
         }
-        let mut shard = self.lock_clip_shard(clip);
-        let (outcome, ticket) = shard
+        self.lock_clip_shard(clip)
             .get_range(clip, chunk)
-            .map_err(|e| self.persist_failure(e))?;
-        drop(shard);
-        if let Some(ticket) = ticket {
-            ticket.wait().map_err(|e| self.persist_failure(e))?;
-        }
-        Ok(outcome)
+            .map_err(|e| self.persist_failure(e))
     }
 
     /// Warm `clip` into its shard without counting it in the hit
@@ -331,13 +365,9 @@ impl CacheService {
         if self.repo.get(clip).is_none() {
             return Err(ServiceError::UnknownClip(clip));
         }
-        let mut shard = self.lock_clip_shard(clip);
-        let (admitted, ticket) = shard.admit(clip).map_err(|e| self.persist_failure(e))?;
-        drop(shard);
-        if let Some(ticket) = ticket {
-            ticket.wait().map_err(|e| self.persist_failure(e))?;
-        }
-        Ok(admitted)
+        self.lock_clip_shard(clip)
+            .admit(clip)
+            .map_err(|e| self.persist_failure(e))
     }
 
     /// Inject a service-level fault: panic while holding `clip`'s shard

@@ -35,9 +35,7 @@
 //! use — then the shard compacts (fresh checkpoint, truncated log) so
 //! restarts converge instead of replaying ever-longer logs.
 
-use crate::persist::{
-    CommitTicket, CrashSpec, DurableCheckpoint, DurableState, PersistError, ShardStore, WalOp,
-};
+use crate::persist::{CrashSpec, DurableCheckpoint, DurableState, PersistError, ShardStore, WalOp};
 use clipcache_core::snapshot::{restore, CacheSnapshot};
 use clipcache_core::{AccessEvent, ClipCache, EvictionCount, PolicySpec};
 use clipcache_media::{ByteSize, ClipId, Repository};
@@ -182,24 +180,16 @@ impl Shard {
     /// through the counting sink, record `(hit, size, evictions)`. With
     /// a store attached the access is WAL-logged *first* — on any
     /// failure the cache is untouched, so disk never lags a reply the
-    /// client already saw. Under group commit the returned
-    /// [`CommitTicket`] must be waited on *after* releasing the shard
-    /// mutex (and before acking the client), so concurrent requests can
-    /// ride the same batched fsync; `None` means the append is already
-    /// as durable as the sync policy promises.
-    pub fn get(
-        &mut self,
-        clip: ClipId,
-        size: ByteSize,
-    ) -> Result<(GetOutcome, Option<CommitTicket>), PersistError> {
-        let mut ticket = None;
+    /// client already saw. Under `--wal-sync always` the record is
+    /// durable only after the next [`sync`](Self::sync): the caller
+    /// syncs before it acks the client.
+    pub fn get(&mut self, clip: ClipId, size: ByteSize) -> Result<GetOutcome, PersistError> {
         if let Some(store) = &mut self.store {
-            let seq = store.append(WalOp::Get, clip)?;
-            ticket = store.commit_ticket(seq);
+            store.append(WalOp::Get, clip)?;
         }
         let outcome = self.apply_get(clip, size);
         self.maybe_checkpoint()?;
-        Ok((outcome, ticket))
+        Ok(outcome)
     }
 
     /// The in-memory half of [`get`](Self::get) — also the WAL replay
@@ -243,15 +233,13 @@ impl Shard {
     /// The access still advances the clock and the policy's reference
     /// history (a warmed clip looks recently used), so `admit` is for
     /// pre-loading before measurement, not for use mid-run.
-    pub fn admit(&mut self, clip: ClipId) -> Result<(bool, Option<CommitTicket>), PersistError> {
-        let mut ticket = None;
+    pub fn admit(&mut self, clip: ClipId) -> Result<bool, PersistError> {
         if let Some(store) = &mut self.store {
-            let seq = store.append(WalOp::Admit, clip)?;
-            ticket = store.commit_ticket(seq);
+            store.append(WalOp::Admit, clip)?;
         }
         let admitted = self.apply_admit(clip);
         self.maybe_checkpoint()?;
-        Ok((admitted, ticket))
+        Ok(admitted)
     }
 
     /// The in-memory half of [`admit`](Self::admit); also the replay
@@ -276,17 +264,11 @@ impl Shard {
     ///
     /// The caller (the service) has already validated that `chunk` is in
     /// range for `clip`; this method only reads residency.
-    pub fn get_range(
-        &mut self,
-        clip: ClipId,
-        chunk: u32,
-    ) -> Result<(RangeOutcome, Option<CommitTicket>), PersistError> {
-        let mut ticket = None;
+    pub fn get_range(&mut self, clip: ClipId, chunk: u32) -> Result<RangeOutcome, PersistError> {
         if let Some(store) = &mut self.store {
-            let seq = store.append_range(clip, chunk)?;
-            ticket = store.commit_ticket(seq);
+            store.append_range(clip, chunk)?;
         }
-        Ok((self.apply_get_range(clip, chunk), ticket))
+        Ok(self.apply_get_range(clip, chunk))
     }
 
     /// The in-memory half of [`get_range`](Self::get_range); also the
@@ -437,6 +419,21 @@ impl Shard {
         self.wal_replayed
     }
 
+    /// Make every access logged so far durable ([`ShardStore::sync`]).
+    /// No-op for a memory-only shard.
+    pub fn sync(&mut self) -> Result<(), PersistError> {
+        match &mut self.store {
+            Some(store) => store.sync(),
+            None => Ok(()),
+        }
+    }
+
+    /// Fsyncs the attached store's [`sync`](Self::sync) has issued (0
+    /// for a memory-only shard).
+    pub fn syncs(&self) -> u64 {
+        self.store.as_ref().map_or(0, ShardStore::syncs)
+    }
+
     /// Rebuild the shard from its last checkpoint after its mutex was
     /// poisoned mid-request.
     ///
@@ -541,9 +538,9 @@ mod tests {
     fn get_records_stats_and_ticks_clock() {
         let (repo, mut shard) = shard_with(PolicyKind::Lru, 8, ByteSize::mb(20));
         let clip = ClipId::new(3);
-        let (miss, _) = shard.get(clip, repo.size_of(clip)).unwrap();
+        let miss = shard.get(clip, repo.size_of(clip)).unwrap();
         assert!(!miss.hit && miss.admitted && miss.evictions == 0);
-        let (hit, _) = shard.get(clip, repo.size_of(clip)).unwrap();
+        let hit = shard.get(clip, repo.size_of(clip)).unwrap();
         assert!(hit.hit);
         assert_eq!(shard.stats().hits, 1);
         assert_eq!(shard.stats().misses, 1);
@@ -553,14 +550,13 @@ mod tests {
     #[test]
     fn admit_warms_without_stats() {
         let (repo, mut shard) = shard_with(PolicyKind::Lru, 8, ByteSize::mb(20));
-        assert!(shard.admit(ClipId::new(5)).unwrap().0);
+        assert!(shard.admit(ClipId::new(5)).unwrap());
         assert_eq!(shard.stats().requests(), 0);
         // The warmed clip now hits, and only the hit is counted.
         assert!(
             shard
                 .get(ClipId::new(5), repo.size_of(ClipId::new(5)))
                 .unwrap()
-                .0
                 .hit
         );
         assert_eq!(shard.stats().hits, 1);
@@ -603,7 +599,6 @@ mod tests {
             shard
                 .get(ClipId::new(1), repo.size_of(ClipId::new(1)))
                 .unwrap()
-                .0
                 .hit
         );
     }
@@ -621,7 +616,6 @@ mod tests {
             !shard
                 .get(ClipId::new(2), repo.size_of(ClipId::new(2)))
                 .unwrap()
-                .0
                 .hit
         );
     }
