@@ -4,8 +4,10 @@
 //! ad-hoc cooperation lifting the offload rate from 55.3% (greedy,
 //! independent devices) to 87.6% (radius-8 peer exchange); here the
 //! same structural claim is measured on the cluster tier's actual
-//! machinery — the consistent-hash ring, read-any/write-all peer fill
-//! and the in-process [`ClusterHarness`] the chaos golden replays.
+//! machinery — the consistent-hash ring and read-any/write-all peer
+//! fill, replayed by the in-process [`ClusterHarness`]. Its peer fill
+//! is the same `PeerFill` core `serve --cluster` runs over TCP, here
+//! over an in-process link to the member services.
 //!
 //! Three hit-rate series over cluster size N:
 //!

@@ -6,8 +6,10 @@
 //! `BREAKER_FAILURE_THRESHOLD` consecutive failures the peer is Open
 //! and probes are skipped (their write-all half queued as a handoff
 //! hint) until a count-based HalfOpen probe notices the revive and
-//! replays the hints. This experiment measures the claim on the same
-//! in-process [`ClusterHarness`] the chaos golden replays.
+//! replays the hints. This experiment measures the claim on the
+//! in-process [`ClusterHarness`], which drives the breaker, hint queue
+//! and replay through the same `PeerFill` core `serve --cluster` runs
+//! over TCP (see [`clipcache_serve::PeerFill`]).
 //!
 //! Sweep: a 6-member, replication-2 LRU cluster; `k` members are
 //! SIGKILLed a quarter of the way through the trace and revived at the
@@ -61,7 +63,10 @@ const LIVE_PROBE_MS: u64 = 1;
 const ARMS: usize = 2;
 const METRICS: usize = 3;
 
-fn members(ctx: &ExperimentContext, repo: &Arc<clipcache_media::Repository>) -> Vec<Arc<CacheService>> {
+fn members(
+    ctx: &ExperimentContext,
+    repo: &Arc<clipcache_media::Repository>,
+) -> Vec<Arc<CacheService>> {
     (0..NODES)
         .map(|i| {
             let config = ServiceConfig::new(
@@ -88,7 +93,8 @@ fn replay(
     dead: usize,
     breaker_on: bool,
 ) -> (f64, f64, f64) {
-    let mut harness = ClusterHarness::new(ctx.sub_seed(0xDE64_0001), REPLICATION, members(ctx, repo));
+    let mut harness =
+        ClusterHarness::new(ctx.sub_seed(0xDE64_0001), REPLICATION, members(ctx, repo));
     if !breaker_on {
         harness.set_breaker_tuning(u32::MAX, 1);
     }
@@ -186,7 +192,13 @@ mod tests {
     use super::*;
 
     fn series<'a>(fig: &'a FigureResult, name: &str) -> &'a Series {
-        fig.series_named(name).expect("series exists")
+        let series = fig.series_named(name).expect("series exists");
+        assert_eq!(
+            series.values.len(),
+            DEAD.len(),
+            "{name}: one point per dead count"
+        );
+        series
     }
 
     #[test]
@@ -195,7 +207,11 @@ mod tests {
         // replay the identical path — every metric agrees bit for bit.
         let ctx = ExperimentContext::at_scale(0.1);
         let fig = run(&ctx).remove(0);
-        for metric in ["hit rate", "modeled p99 stall (ms)", "modeled mean stall (ms)"] {
+        for metric in [
+            "hit rate",
+            "modeled p99 stall (ms)",
+            "modeled mean stall (ms)",
+        ] {
             let on = series(&fig, &format!("{metric}, breaker on"));
             let off = series(&fig, &format!("{metric}, breaker off"));
             assert_eq!(
@@ -214,19 +230,15 @@ mod tests {
         let fig = run(&ctx).remove(0);
         let on = series(&fig, "modeled mean stall (ms), breaker on");
         let off = series(&fig, "modeled mean stall (ms), breaker off");
-        for di in 1..DEAD.len() {
+        for ((&dead, &on), &off) in DEAD.iter().zip(&on.values).zip(&off.values).skip(1) {
             // At 3/6 dead half the trips are pure overhead (three
             // survivors each discover three dead peers) and many
             // requests fail fast with no alive owner, so the saving is
             // thinner there — but the breaker must never cost stall.
-            let margin = if DEAD[di] * 2 < NODES { 0.55 } else { 0.85 };
+            let margin = if dead * 2 < NODES { 0.55 } else { 0.85 };
             assert!(
-                on.values[di] < off.values[di] * margin,
-                "dead={}: breaker mean stall {} vs control {} (margin {})",
-                DEAD[di],
-                on.values[di],
-                off.values[di],
-                margin
+                on < off * margin,
+                "dead={dead}: breaker mean stall {on} vs control {off} (margin {margin})"
             );
         }
     }
@@ -246,13 +258,10 @@ mod tests {
             "control p99 must include the connect timeout, got {}",
             off.values[worst]
         );
-        for di in 1..DEAD.len() {
+        for ((&dead, &on), &off) in DEAD.iter().zip(&on.values).zip(&off.values).skip(1) {
             assert!(
-                on.values[di] <= off.values[di],
-                "dead={}: breaker p99 {} exceeds control {}",
-                DEAD[di],
-                on.values[di],
-                off.values[di]
+                on <= off,
+                "dead={dead}: breaker p99 {on} exceeds control {off}"
             );
         }
     }
@@ -266,13 +275,10 @@ mod tests {
         let fig = run(&ctx).remove(0);
         let on = series(&fig, "hit rate, breaker on");
         let off = series(&fig, "hit rate, breaker off");
-        for di in 0..DEAD.len() {
+        for ((&dead, &on), &off) in DEAD.iter().zip(&on.values).zip(&off.values) {
             assert!(
-                (on.values[di] - off.values[di]).abs() <= 0.05,
-                "dead={}: hit rates diverged: {} vs {}",
-                DEAD[di],
-                on.values[di],
-                off.values[di]
+                (on - off).abs() <= 0.05,
+                "dead={dead}: hit rates diverged: {on} vs {off}"
             );
         }
     }

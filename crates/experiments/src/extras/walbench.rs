@@ -66,7 +66,6 @@ fn run_cell(history: u64, checkpointed: bool) -> (u64, u64, u64) {
     let _ = std::fs::remove_dir_all(&dir);
     let tuning = WalTuning {
         segment_bytes: 24 + RECORDS_PER_SEGMENT * 25,
-        ..WalTuning::default()
     };
     {
         let (mut store, _) =

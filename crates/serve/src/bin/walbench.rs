@@ -213,7 +213,6 @@ fn open_durable(args: &Args, dir: &PathBuf) -> Result<Arc<CacheService>, String>
         sync: WalSync::Always,
         tuning: WalTuning {
             segment_bytes: args.segment_bytes,
-            ..WalTuning::default()
         },
         ..PersistOptions::at(dir)
     };
@@ -340,7 +339,6 @@ fn run_recovery_cell(
     let dir = scratch(&format!("recover-{history}-{checkpointed}"));
     let tuning = WalTuning {
         segment_bytes: args.segment_bytes,
-        ..WalTuning::default()
     };
     {
         let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tuning)

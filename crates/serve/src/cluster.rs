@@ -57,20 +57,21 @@
 //! ([`HANDOFF_QUEUE_LIMIT`] clips, oldest dropped first, duplicates
 //! collapsed) and replays the queue over the wire as soon as a probe
 //! to that peer succeeds again — restoring replica coverage after a
-//! revive without any coordinator. The harness mirrors the same
-//! machinery so `degradebench` and the degraded chaos golden replay it
-//! bit for bit.
+//! revive without any coordinator.
 //!
-//! ## Fault injection
+//! ## One core, two links
 //!
-//! The in-process [`ClusterHarness`] replays the same deterministic
-//! chaos discipline as the wire harness: a [`PeerFaults`] plan
-//! (drop-pre / drop-post / garbage only — torn writes and shard poison
-//! make no sense on the modelled peer hop) decides faults as a pure
-//! function of `(handler node, probe sequence)`. A dropped-after-send
-//! probe still executes on the peer — the duplicated access is exactly
-//! the idempotent-GET duplicate the single-node chaos suite already
-//! proves harmless — so the conservation invariant
+//! Peer fill, breaker gating, the hint queue and hint replay exist once,
+//! in [`PeerFill`], generic over the [`PeerLink`] that carries probes.
+//! `serve --cluster` ([`ClusterRuntime`]) links to its peers over TCP.
+//! The in-process [`ClusterHarness`] — what `clusterbench`,
+//! `degradebench` and the cluster chaos goldens replay — links to its
+//! member services through a deterministic [`PeerFaults`] plan
+//! (drop-pre / drop-post / garbage only: torn writes and shard poison
+//! make no sense on the modelled peer hop), decided as a pure function
+//! of `(handler node, probe sequence)`. A dropped-after-send probe still
+//! executes on the peer — the idempotent-GET duplicate the single-node
+//! chaos suite already proves harmless — so the conservation invariant
 //! `delivered = local hits + peer hits + misses` holds at every rate.
 
 use crate::client::TcpCacheClient;
@@ -180,44 +181,33 @@ impl PeerBreaker {
     /// [`record`](Self::record)); `false` means skip — the peer is Open
     /// and the skip was counted toward the next HalfOpen probe.
     pub fn admit(&mut self) -> bool {
-        match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open => {
-                self.skipped += 1;
-                if self.skipped >= self.probe_interval {
-                    self.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
+        if self.state == BreakerState::Open {
+            self.skipped += 1;
+            if self.skipped < self.probe_interval {
+                return false;
             }
+            self.state = BreakerState::HalfOpen;
         }
+        true
     }
 
     /// Record the outcome of an admitted probe.
     pub fn record(&mut self, ok: bool) {
-        match self.state {
-            BreakerState::Closed => {
-                if ok {
-                    self.consecutive_failures = 0;
-                } else {
-                    self.consecutive_failures += 1;
-                    if self.consecutive_failures >= self.failure_threshold {
-                        self.trip();
-                    }
-                }
+        match (self.state, ok) {
+            // `record` without a `true` from `admit` is a caller bug,
+            // but stay total: an Open breaker ignores stray outcomes.
+            (BreakerState::Open, _) => {}
+            (_, true) => {
+                self.state = BreakerState::Closed;
+                self.consecutive_failures = 0;
             }
-            BreakerState::HalfOpen => {
-                if ok {
-                    self.state = BreakerState::Closed;
-                    self.consecutive_failures = 0;
-                } else {
+            (BreakerState::HalfOpen, false) => self.trip(),
+            (BreakerState::Closed, false) => {
+                self.consecutive_failures += 1;
+                if self.consecutive_failures >= self.failure_threshold {
                     self.trip();
                 }
             }
-            // `record` without a `true` from `admit` is a caller bug,
-            // but stay total: an Open breaker ignores stray outcomes.
-            BreakerState::Open => {}
         }
     }
 
@@ -348,117 +338,91 @@ impl ClusterView {
     }
 }
 
-/// A peer slot in the server-side pool.
-enum PeerSlot {
-    /// No live connection; the next probe dials (and handshakes) lazily.
-    Idle,
-    /// Handshaked and usable.
-    Connected(TcpCacheClient),
-    /// Version skew detected — terminal. Never probed again.
-    Skewed,
+/// What one `PEERGET` probe came back with, as the breaker sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The peer answered; `true` when it already held the clip.
+    Answered(bool),
+    /// The peer is live but its reply was lost. Not a breaker failure:
+    /// breakers track liveness, and counting lost replies would make
+    /// breaker state depend on the fault plan even in healthy clusters.
+    Lost,
+    /// The peer is down (unreachable, timed out, skewed, or dead). A
+    /// breaker failure.
+    Down,
 }
 
-/// Server-side cluster state owned by the event loop: the lazily
-/// dialled peer pool plus fill counters.
-///
-/// Peer fetches are *blocking* calls made from inside the epoll loop,
-/// bounded by the spec's connect/read timeouts. That is a deliberate
-/// trade: the probe is one tiny frame each way, and the timeout bounds
-/// the worst case (two nodes filling from each other simultaneously
-/// degrade to timeout-paced, not deadlocked — each one's `PEERGET`
-/// queues behind the other's in-flight work and both sides give up
-/// after `read_timeout`).
-pub struct ClusterRuntime {
-    spec: ClusterSpec,
-    view: ClusterView,
-    slots: Vec<PeerSlot>,
+/// How one handling node reaches its peers: the transport under
+/// [`PeerFill`]. [`ClusterRuntime`] implements it over TCP,
+/// [`ClusterHarness`] over in-process services.
+pub trait PeerLink {
+    /// One `PEERGET` for `clip` to `peer`. On any outcome but
+    /// [`Probe::Down`] the peer has executed the access (admitting on
+    /// its own miss), which is its half of write-all.
+    fn probe(&mut self, peer: usize, clip: ClipId) -> Probe;
+
+    /// Hand one queued hint to `peer`, which just answered a probe.
+    /// `false` means the peer is down, which stops the drain.
+    fn replay(&mut self, peer: usize, clip: ClipId) -> bool;
+}
+
+/// One handling node's view of its peers: a [`PeerBreaker`] and a hint
+/// queue per peer, plus the counters of the fills it has run. The
+/// single implementation of peer fill, breaker gating, hinted handoff
+/// and hint replay, shared by both transports.
+#[derive(Debug, Clone)]
+pub struct PeerFill {
     breakers: Vec<PeerBreaker>,
     hints: Vec<VecDeque<ClipId>>,
     peer_hits: u64,
-    peer_probes: u64,
-    peer_errors: u64,
-    breaker_skipped: u64,
-    handoff_queued: u64,
-    handoff_dropped: u64,
-    handoff_replayed: u64,
+    skipped: u64,
+    queued: u64,
+    dropped: u64,
+    replayed: u64,
 }
 
-impl ClusterRuntime {
-    /// Build the runtime; connections are dialled lazily on first probe.
-    pub fn new(spec: ClusterSpec) -> ClusterRuntime {
-        let view = spec.view();
-        let n = spec.peers.len();
-        ClusterRuntime {
-            spec,
-            view,
-            slots: (0..n).map(|_| PeerSlot::Idle).collect(),
-            breakers: vec![PeerBreaker::default(); n],
-            hints: vec![VecDeque::new(); n],
+impl PeerFill {
+    /// A view of `nodes` members, every peer behind a copy of `breaker`.
+    pub fn new(nodes: usize, breaker: PeerBreaker) -> PeerFill {
+        PeerFill {
+            breakers: vec![breaker; nodes],
+            hints: vec![VecDeque::new(); nodes],
             peer_hits: 0,
-            peer_probes: 0,
-            peer_errors: 0,
-            breaker_skipped: 0,
-            handoff_queued: 0,
-            handoff_dropped: 0,
-            handoff_replayed: 0,
+            skipped: 0,
+            queued: 0,
+            dropped: 0,
+            replayed: 0,
         }
     }
 
-    /// The topology view (shared with routing clients).
-    pub fn view(&self) -> &ClusterView {
-        &self.view
-    }
-
-    /// GETs answered by a peer instead of the origin (`PHIT`s served).
-    pub fn peer_hits(&self) -> u64 {
-        self.peer_hits
-    }
-
-    /// Peers whose breaker is currently Open (`STATS breaker_open=`).
-    pub fn breaker_open(&self) -> u64 {
-        self.breakers
-            .iter()
-            .filter(|b| b.state() == BreakerState::Open)
-            .count() as u64
-    }
-
-    /// Hints replayed onto healed peers (`STATS handoff_replayed=`).
-    pub fn handoff_replayed(&self) -> u64 {
-        self.handoff_replayed
-    }
-
-    /// Peer fill after a local miss on `clip`: probe every *other*
-    /// owner with `PEERGET` (which is also the write-all half — each
-    /// probed owner admits on its own miss). Returns whether any peer
-    /// already had the clip. With `R = 1` the probe set is empty and
-    /// this is a no-op returning `false`.
-    ///
-    /// Each probe is gated by the peer's [`PeerBreaker`]: an Open peer
-    /// is skipped (its write-all half queued as a hint) instead of
-    /// paying the connect timeout, and the first successful probe after
-    /// a revive replays the hint queue before anything else.
-    pub fn fill(&mut self, clip: ClipId) -> bool {
-        let owners = self.view.owners_for(clip);
-        let me = self.spec.me;
+    /// Peer fill after `me` missed `clip` locally: probe every other
+    /// owner (the write-all half — a probed owner admits on its own
+    /// miss) and return whether any already had the clip. An Open peer
+    /// is skipped and hinted instead; the first probe that finds it up
+    /// again replays its hints. With `R = 1` this is a no-op.
+    pub fn fill<L: PeerLink>(
+        &mut self,
+        me: usize,
+        clip: ClipId,
+        owners: &[usize],
+        link: &mut L,
+    ) -> bool {
         let mut filled = false;
         for &peer in owners.iter().filter(|&&n| n != me) {
             if !self.breakers[peer].admit() {
-                self.breaker_skipped += 1;
+                self.skipped += 1;
                 self.queue_hint(peer, clip);
                 continue;
             }
-            let result = self.probe(peer, clip);
-            self.breakers[peer].record(result.is_some());
-            if result == Some(true) {
-                filled = true;
-            }
-            if result.is_some() && !self.hints[peer].is_empty() {
-                self.replay_hints(peer);
+            let probe = link.probe(peer, clip);
+            let up = probe != Probe::Down;
+            self.breakers[peer].record(up);
+            filled |= probe == Probe::Answered(true);
+            if up && !self.hints[peer].is_empty() {
+                self.replay_hints(peer, link);
             }
         }
-        if filled {
-            self.peer_hits += 1;
-        }
+        self.peer_hits += u64::from(filled);
         filled
     }
 
@@ -471,71 +435,57 @@ impl ClusterRuntime {
         }
         if queue.len() == HANDOFF_QUEUE_LIMIT {
             queue.pop_front();
-            self.handoff_dropped += 1;
+            self.dropped += 1;
         }
         queue.push_back(clip);
-        self.handoff_queued += 1;
+        self.queued += 1;
     }
 
-    /// Replay `peer`'s hint queue over the live connection. A mid-replay
-    /// transport error stops the drain (remaining hints stay queued for
-    /// the next successful probe) and counts as a breaker failure.
-    fn replay_hints(&mut self, peer: usize) {
+    /// Replay `peer`'s hint queue: each hint is a full access on the
+    /// peer (admit-on-miss), restoring the replica coverage the Open
+    /// window skipped. A peer that goes down mid-replay stops the drain
+    /// (the remaining hints stay queued for the next probe that finds it
+    /// up) and counts as a breaker failure.
+    fn replay_hints<L: PeerLink>(&mut self, peer: usize, link: &mut L) {
         while let Some(&clip) = self.hints[peer].front() {
-            let PeerSlot::Connected(client) = &mut self.slots[peer] else {
+            if !link.replay(peer, clip) {
+                self.breakers[peer].record(false);
                 return;
-            };
-            match client.peer_get(clip) {
-                Ok(_) => {
-                    self.hints[peer].pop_front();
-                    self.handoff_replayed += 1;
-                }
-                Err(_) => {
-                    self.slots[peer] = PeerSlot::Idle;
-                    self.peer_errors += 1;
-                    self.breakers[peer].record(false);
-                    return;
-                }
             }
+            self.hints[peer].pop_front();
+            self.replayed += 1;
         }
     }
 
-    /// One `PEERGET` round trip to `peer`. `None` means the peer was
-    /// unreachable, timed out, or is version-skewed; a transport error
-    /// drops the cached connection so the next probe redials (which is
-    /// how a killed-and-rejoined node is picked back up).
-    fn probe(&mut self, peer: usize, clip: ClipId) -> Option<bool> {
-        self.peer_probes += 1;
-        if matches!(self.slots[peer], PeerSlot::Skewed) {
-            self.peer_errors += 1;
-            return None;
-        }
-        if matches!(self.slots[peer], PeerSlot::Idle) {
-            match self.dial(peer) {
-                Ok(slot) => self.slots[peer] = slot,
-                Err(()) => {
-                    self.peer_errors += 1;
-                    return None;
-                }
-            }
-        }
-        let PeerSlot::Connected(client) = &mut self.slots[peer] else {
-            self.peer_errors += 1;
-            return None;
-        };
-        match client.peer_get(clip) {
-            Ok(had) => Some(had),
-            Err(_) => {
-                self.slots[peer] = PeerSlot::Idle;
-                self.peer_errors += 1;
-                None
-            }
-        }
+    /// `peer`'s breaker.
+    pub fn breaker(&self, peer: usize) -> &PeerBreaker {
+        &self.breakers[peer]
     }
+}
 
-    /// Dial and version-handshake `peer`. A failed dial leaves the slot
-    /// retryable; version skew is terminal and loud.
-    fn dial(&self, peer: usize) -> Result<PeerSlot, ()> {
+/// A peer slot in the server-side pool.
+enum PeerSlot {
+    /// No live connection; the next probe dials (and handshakes) lazily.
+    Idle,
+    /// Handshaked and usable.
+    Connected(TcpCacheClient),
+    /// Version skew detected — terminal. Never probed again.
+    Skewed,
+}
+
+/// The TCP [`PeerLink`]: one lazily dialled slot per member. Any
+/// transport error or `ERR` reply means the peer is down and drops the
+/// cached connection, so the next probe redials (which is how a
+/// killed-and-rejoined node is picked back up).
+struct TcpLink {
+    spec: ClusterSpec,
+    slots: Vec<PeerSlot>,
+}
+
+impl TcpLink {
+    /// Dial and version-handshake `peer`. A failed dial (`None`) leaves
+    /// the slot retryable; version skew is terminal and loud.
+    fn dial(&self, peer: usize) -> Option<PeerSlot> {
         let addr = &self.spec.peers[peer];
         let mut client = TcpCacheClient::connect_deadline(
             addr,
@@ -543,15 +493,92 @@ impl ClusterRuntime {
             Some(self.spec.connect_timeout),
             crate::client::Wire::Binary,
         )
-        .map_err(|_| ())?;
-        let theirs = client.version().map_err(|_| ())?;
+        .ok()?;
+        let theirs = client.version().ok()?;
         match WireVersions::current().check_matches(&theirs) {
-            Ok(()) => Ok(PeerSlot::Connected(client)),
+            Ok(()) => Some(PeerSlot::Connected(client)),
             Err(why) => {
                 eprintln!("clipcache-serve: refusing version-skewed peer {addr}: {why}");
-                Ok(PeerSlot::Skewed)
+                Some(PeerSlot::Skewed)
             }
         }
+    }
+}
+
+impl PeerLink for TcpLink {
+    fn probe(&mut self, peer: usize, clip: ClipId) -> Probe {
+        if matches!(self.slots[peer], PeerSlot::Idle) {
+            self.slots[peer] = self.dial(peer).unwrap_or(PeerSlot::Idle);
+        }
+        let PeerSlot::Connected(client) = &mut self.slots[peer] else {
+            return Probe::Down;
+        };
+        match client.peer_get(clip) {
+            Ok(had) => Probe::Answered(had),
+            Err(_) => {
+                self.slots[peer] = PeerSlot::Idle;
+                Probe::Down
+            }
+        }
+    }
+
+    /// A replay is one more `PEERGET` on the probe's connection.
+    fn replay(&mut self, peer: usize, clip: ClipId) -> bool {
+        self.probe(peer, clip) != Probe::Down
+    }
+}
+
+/// Server-side cluster state owned by the event loop: the node's
+/// [`PeerFill`] over a lazily dialled TCP peer pool.
+///
+/// Peer fetches are *blocking* calls made from inside the epoll loop,
+/// bounded by the spec's connect/read timeouts. That is a deliberate
+/// trade: the probe is one tiny frame each way, and the timeout bounds
+/// the worst case (two nodes filling from each other simultaneously
+/// degrade to timeout-paced, not deadlocked — each one's `PEERGET`
+/// queues behind the other's in-flight work and both sides give up
+/// after `read_timeout`).
+pub struct ClusterRuntime {
+    view: ClusterView,
+    peers: PeerFill,
+    link: TcpLink,
+}
+
+impl ClusterRuntime {
+    /// Build the runtime; connections are dialled lazily on first probe.
+    pub fn new(spec: ClusterSpec) -> ClusterRuntime {
+        let n = spec.peers.len();
+        ClusterRuntime {
+            view: spec.view(),
+            peers: PeerFill::new(n, PeerBreaker::default()),
+            link: TcpLink {
+                spec,
+                slots: (0..n).map(|_| PeerSlot::Idle).collect(),
+            },
+        }
+    }
+
+    /// GETs answered by a peer instead of the origin (`PHIT`s served).
+    pub fn peer_hits(&self) -> u64 {
+        self.peers.peer_hits
+    }
+
+    /// Peers whose breaker is currently Open (`STATS breaker_open=`).
+    pub fn breaker_open(&self) -> u64 {
+        let open = |b: &&PeerBreaker| b.state() == BreakerState::Open;
+        self.peers.breakers.iter().filter(open).count() as u64
+    }
+
+    /// Hints replayed onto healed peers (`STATS handoff_replayed=`).
+    pub fn handoff_replayed(&self) -> u64 {
+        self.peers.replayed
+    }
+
+    /// [`PeerFill::fill`] over TCP after a local miss on `clip`.
+    pub fn fill(&mut self, clip: ClipId) -> bool {
+        let owners = self.view.owners_for(clip);
+        let me = self.link.spec.me;
+        self.peers.fill(me, clip, &owners, &mut self.link)
     }
 }
 
@@ -696,13 +723,11 @@ pub struct ClusterHarness {
     alive: Vec<bool>,
     faults: Option<PeerFaults>,
     probe_seq: u64,
+    /// Routing and peer-wire counters; [`Self::stats`] adds the peer-hit,
+    /// breaker and handoff counters from `fills`.
     stats: ClusterStats,
-    /// Per handler→peer breaker, indexed `handler * nodes + peer` —
-    /// each member tracks its own view of every peer's health, exactly
-    /// like N independent [`ClusterRuntime`]s would.
-    breakers: Vec<PeerBreaker>,
-    /// Per handler→peer hint queue, same indexing.
-    hints: Vec<VecDeque<ClipId>>,
+    /// One [`PeerFill`] per handler, like N [`ClusterRuntime`]s.
+    fills: Vec<PeerFill>,
     /// Deterministic kill/revive points: `(request index, node, alive)`
     /// applied before routing that request.
     schedule: Vec<(u64, usize, bool)>,
@@ -726,8 +751,7 @@ impl ClusterHarness {
             faults: None,
             probe_seq: 0,
             stats: ClusterStats::default(),
-            breakers: vec![PeerBreaker::default(); n * n],
-            hints: vec![VecDeque::new(); n * n],
+            fills: vec![PeerFill::new(n, PeerBreaker::default()); n],
             schedule: Vec::new(),
         }
     }
@@ -735,11 +759,6 @@ impl ClusterHarness {
     /// Arm (or disarm) deterministic peer-wire faults.
     pub fn set_faults(&mut self, faults: Option<PeerFaults>) {
         self.faults = faults;
-    }
-
-    /// The topology view.
-    pub fn view(&self) -> &ClusterView {
-        &self.view
     }
 
     /// Member count.
@@ -755,7 +774,16 @@ impl ClusterHarness {
 
     /// Counters so far.
     pub fn stats(&self) -> ClusterStats {
-        self.stats
+        let mut s = self.stats;
+        for fill in &self.fills {
+            s.peer_hits += fill.peer_hits;
+            s.breaker_opens += fill.breakers.iter().map(PeerBreaker::opens).sum::<u64>();
+            s.breaker_skipped += fill.skipped;
+            s.handoff_queued += fill.queued;
+            s.handoff_replayed += fill.replayed;
+            s.handoff_dropped += fill.dropped;
+        }
+        s
     }
 
     /// SIGKILL node `i`: it stops answering routes and probes.
@@ -771,7 +799,7 @@ impl ClusterHarness {
     /// Node `i`'s breaker as seen from `handler` (for tests and the
     /// degradebench experiment).
     pub fn breaker(&self, handler: usize, peer: usize) -> &PeerBreaker {
-        &self.breakers[handler * self.nodes.len() + peer]
+        self.fills[handler].breaker(peer)
     }
 
     /// Replace every handler→peer breaker with fresh ones at the given
@@ -780,7 +808,8 @@ impl ClusterHarness {
     /// pre-breaker cluster, every dead probe paid in full).
     pub fn set_breaker_tuning(&mut self, failure_threshold: u32, probe_interval: u64) {
         let n = self.nodes.len();
-        self.breakers = vec![PeerBreaker::new(failure_threshold, probe_interval); n * n];
+        let breaker = PeerBreaker::new(failure_threshold, probe_interval);
+        self.fills = vec![PeerFill::new(n, breaker); n];
     }
 
     /// Schedule a deterministic kill of node `i` applied before the
@@ -802,15 +831,13 @@ impl ClusterHarness {
     /// the armed fault plan.
     pub fn get(&mut self, clip: ClipId) -> Result<GetOutcome, ClusterError> {
         let seq = self.stats.requests;
-        let mut i = 0;
-        while i < self.schedule.len() {
-            if self.schedule[i].0 <= seq {
-                let (_, node, up) = self.schedule.remove(i);
-                self.alive[node] = up;
-            } else {
-                i += 1;
+        let alive = &mut self.alive;
+        self.schedule.retain(|&(at, node, up)| {
+            if at <= seq {
+                alive[node] = up;
             }
-        }
+            at > seq
+        });
         self.stats.requests += 1;
         let owners = self.view.owners_for(clip);
         let Some(handler) = owners.iter().copied().find(|&n| self.alive[n]) else {
@@ -825,65 +852,21 @@ impl ClusterHarness {
         if outcome.hit {
             self.stats.local_hits += 1;
         } else {
-            let mut filled = false;
-            for &peer in owners.iter().filter(|&&n| n != handler) {
-                let slot = handler * self.nodes.len() + peer;
-                if !self.breakers[slot].admit() {
-                    self.stats.breaker_skipped += 1;
-                    self.queue_hint(slot, clip);
-                    continue;
-                }
-                // The breaker tracks peer *liveness*: a drop fault is a
-                // lost reply from a live peer (the wire discipline the
-                // retry loop already covers), not evidence the peer is
-                // down — counting it would make breaker state depend on
-                // the fault plan even in healthy clusters.
-                let up = self.alive[peer];
-                let opens_before = self.breakers[slot].opens();
-                if self.probe(handler, peer, clip) == Some(true) {
-                    filled = true;
-                }
-                self.breakers[slot].record(up);
-                self.stats.breaker_opens += self.breakers[slot].opens() - opens_before;
-                if up && !self.hints[slot].is_empty() {
-                    self.replay_hints(slot, peer);
-                }
-            }
-            if filled {
-                outcome.peer = true;
-                self.stats.peer_hits += 1;
-            } else {
+            let mut link = LocalLink {
+                handler,
+                nodes: &self.nodes,
+                alive: &self.alive,
+                faults: self.faults.as_ref(),
+                probe_seq: &mut self.probe_seq,
+                stats: &mut self.stats,
+            };
+            outcome.peer = self.fills[handler].fill(handler, clip, &owners, &mut link);
+            if !outcome.peer {
                 self.stats.misses += 1;
             }
         }
         self.stats.delivered += 1;
         Ok(outcome)
-    }
-
-    /// Remember the write-all half the Open peer missed (bounded,
-    /// drop-oldest, duplicate-free) — [`ClusterRuntime::queue_hint`]'s
-    /// in-process mirror.
-    fn queue_hint(&mut self, slot: usize, clip: ClipId) {
-        let queue = &mut self.hints[slot];
-        if queue.contains(&clip) {
-            return;
-        }
-        if queue.len() == HANDOFF_QUEUE_LIMIT {
-            queue.pop_front();
-            self.stats.handoff_dropped += 1;
-        }
-        queue.push_back(clip);
-        self.stats.handoff_queued += 1;
-    }
-
-    /// Replay a healed peer's hint queue: each hint is a full local
-    /// access on the peer (admit-on-miss), restoring the replica
-    /// coverage the Open window skipped.
-    fn replay_hints(&mut self, slot: usize, peer: usize) {
-        while let Some(clip) = self.hints[slot].pop_front() {
-            let _ = self.nodes[peer].get(clip);
-            self.stats.handoff_replayed += 1;
-        }
     }
 
     /// Poison `clip`'s shard on its first alive owner (chaos parity
@@ -897,56 +880,12 @@ impl ClusterHarness {
         Ok(())
     }
 
-    /// One modelled `PEERGET` from `handler` to `peer`, through the
-    /// fault plan. Mirrors [`ClusterRuntime::probe`]: `None` means the
-    /// probe was lost or the peer is dead.
-    fn probe(&mut self, handler: usize, peer: usize, clip: ClipId) -> Option<bool> {
-        if !self.alive[peer] {
-            self.stats.peer_errors += 1;
-            return None;
-        }
-        self.stats.peer_probes += 1;
-        let fault = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.decide(handler, self.probe_seq));
-        self.probe_seq += 1;
-        match fault {
-            Some(FaultKind::DropBeforeSend) => {
-                // Lost before the wire: the peer never sees it.
-                self.stats.peer_drops += 1;
-                return None;
-            }
-            Some(FaultKind::DropAfterSend) => {
-                // The peer executes the access (its half of write-all
-                // still happens) but the reply is lost.
-                let _ = self.nodes[peer].get(clip);
-                self.stats.peer_drops += 1;
-                return None;
-            }
-            Some(FaultKind::Garbage) => {
-                // A garbage line precedes the probe; the peer answers
-                // `ERR` and the real probe proceeds (server-side line
-                // discipline already proves this path).
-                self.stats.peer_garbage += 1;
-            }
-            _ => {}
-        }
-        match self.nodes[peer].get(clip) {
-            Ok(o) => Some(o.hit),
-            Err(_) => {
-                self.stats.peer_errors += 1;
-                None
-            }
-        }
-    }
-
     /// The cluster block appended to chaos reports: byte-stable,
     /// wall-clock-free. Runs that never degraded (no breaker trip, no
     /// hint traffic) render exactly the pre-breaker block, so the
     /// healthy-cluster goldens stay byte-identical.
     pub fn chaos_lines(&self) -> String {
-        let s = &self.stats;
+        let s = self.stats();
         let plan = match &self.faults {
             Some(f) => f.plan().spelling(),
             None => "none".into(),
@@ -982,7 +921,7 @@ impl ClusterHarness {
     /// only when a breaker actually tripped or a hint was queued — the
     /// zero-degradation path stays byte-identical to the old report.
     pub fn degraded_lines(&self) -> String {
-        let s = &self.stats;
+        let s = self.stats();
         if s.breaker_opens == 0 && s.breaker_skipped == 0 && s.handoff_queued == 0 {
             return String::new();
         }
@@ -998,6 +937,65 @@ impl ClusterHarness {
     }
 }
 
+/// The in-process [`PeerLink`]: `handler`'s hop to the harness's member
+/// services under the armed [`PeerFaults`] plan. A dead peer is down; a
+/// drop fault or a service error is a lost reply from a live peer.
+struct LocalLink<'a> {
+    handler: usize,
+    nodes: &'a [Arc<CacheService>],
+    alive: &'a [bool],
+    faults: Option<&'a PeerFaults>,
+    probe_seq: &'a mut u64,
+    stats: &'a mut ClusterStats,
+}
+
+impl PeerLink for LocalLink<'_> {
+    fn probe(&mut self, peer: usize, clip: ClipId) -> Probe {
+        if !self.alive[peer] {
+            self.stats.peer_errors += 1;
+            return Probe::Down;
+        }
+        self.stats.peer_probes += 1;
+        let fault = self
+            .faults
+            .and_then(|f| f.decide(self.handler, *self.probe_seq));
+        *self.probe_seq += 1;
+        if let Some(kind @ (FaultKind::DropBeforeSend | FaultKind::DropAfterSend)) = fault {
+            // Dropped before the wire the peer never sees the probe;
+            // dropped after send it executes the access (its half of
+            // write-all still happens) and only the reply is lost.
+            if kind == FaultKind::DropAfterSend {
+                let _ = self.nodes[peer].get(clip);
+            }
+            self.stats.peer_drops += 1;
+            return Probe::Lost;
+        }
+        if fault == Some(FaultKind::Garbage) {
+            // A garbage line precedes the probe; the peer answers `ERR`
+            // and the real probe proceeds (server-side line discipline
+            // already proves this path).
+            self.stats.peer_garbage += 1;
+        }
+        match self.nodes[peer].get(clip) {
+            Ok(o) => Probe::Answered(o.hit),
+            Err(_) => {
+                self.stats.peer_errors += 1;
+                Probe::Lost
+            }
+        }
+    }
+
+    /// Replay never consults the fault plan, so `probe_seq` — and with
+    /// it every later fault decision — is independent of hint traffic.
+    fn replay(&mut self, peer: usize, clip: ClipId) -> bool {
+        if !self.alive[peer] {
+            return false;
+        }
+        let _ = self.nodes[peer].get(clip);
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,8 +1003,8 @@ mod tests {
     use clipcache_core::PolicyKind;
     use clipcache_media::paper;
 
-    fn service(seed: u64) -> Arc<CacheService> {
-        let repo = Arc::new(paper::variable_sized_repository_of(48));
+    fn service(clips: usize, seed: u64) -> Arc<CacheService> {
+        let repo = Arc::new(paper::variable_sized_repository_of(clips));
         let capacity = repo.cache_capacity_for_ratio(0.25);
         Arc::new(
             CacheService::new(
@@ -1019,7 +1017,7 @@ mod tests {
     }
 
     fn cluster(n: usize, r: usize) -> ClusterHarness {
-        let services = (0..n).map(|i| service(7 + i as u64)).collect();
+        let services = (0..n).map(|i| service(48, 7 + i as u64)).collect();
         ClusterHarness::new(0xC1A5, r, services)
     }
 
@@ -1147,41 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn breaker_counts_failures_not_clocks() {
-        let mut b = PeerBreaker::new(3, 4);
-        assert_eq!(b.state(), BreakerState::Closed);
-        for _ in 0..2 {
-            assert!(b.admit());
-            b.record(false);
-        }
-        assert_eq!(b.state(), BreakerState::Closed, "K-1 failures stay Closed");
-        assert!(b.admit());
-        b.record(false);
-        assert_eq!(b.state(), BreakerState::Open, "Kth consecutive failure trips");
-        assert_eq!(b.opens(), 1);
-        for _ in 0..3 {
-            assert!(!b.admit(), "Open skips M-1 attempts");
-        }
-        assert!(b.admit(), "Mth attempt is the HalfOpen probe");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record(false);
-        assert_eq!(b.state(), BreakerState::Open, "failed probe re-opens");
-        for _ in 0..3 {
-            assert!(!b.admit());
-        }
-        assert!(b.admit());
-        b.record(true);
-        assert_eq!(b.state(), BreakerState::Closed, "successful probe heals");
-        assert_eq!(b.opens(), 2);
-        // A success anywhere resets the consecutive-failure count.
-        for ok in [false, false, true, false, false] {
-            assert!(b.admit());
-            b.record(ok);
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
     fn kill_trips_breaker_then_revive_replays_hints() {
         // The satellite pin: kill → K misses → Open → revive →
         // HalfOpen → Closed, with the Open window's write-all halves
@@ -1229,20 +1192,7 @@ mod tests {
         // 400 distinct missing clips against one dead replica must
         // overflow the 128-clip queue (drop-oldest) and replay at most
         // the bound after revive.
-        let repo = Arc::new(paper::variable_sized_repository_of(400));
-        let services = (0..2)
-            .map(|i| {
-                let capacity = repo.cache_capacity_for_ratio(0.25);
-                Arc::new(
-                    CacheService::new(
-                        Arc::clone(&repo),
-                        ServiceConfig::new(PolicyKind::Lru, 1, capacity, 7 + i as u64),
-                        None,
-                    )
-                    .expect("LRU builds"),
-                )
-            })
-            .collect();
+        let services = (0..2).map(|i| service(400, 7 + i)).collect();
         let mut c = ClusterHarness::new(0xC1A5, 2, services);
         c.kill(1);
         for id in 1..=400u32 {
@@ -1260,6 +1210,52 @@ mod tests {
         let s = c.stats();
         assert!(s.handoff_replayed > 0, "{s:?}");
         assert!(s.handoff_replayed <= HANDOFF_QUEUE_LIMIT as u64, "{s:?}");
+    }
+
+    /// A [`PeerLink`] that answers from a script, for branches no
+    /// in-process cluster can reach (a live peer going down mid-replay).
+    struct Scripted(VecDeque<Probe>, VecDeque<bool>, Vec<u32>);
+
+    impl PeerLink for Scripted {
+        fn probe(&mut self, _: usize, _: ClipId) -> Probe {
+            self.0.pop_front().expect("script ran out of probes")
+        }
+
+        fn replay(&mut self, _: usize, clip: ClipId) -> bool {
+            self.2.push(clip.get());
+            self.1.pop_front().expect("script ran out of replays")
+        }
+    }
+
+    #[test]
+    fn down_mid_replay_stops_the_drain_and_counts_one_failure() {
+        // Two downs trip node 0's breaker on node 1, three skipped fills
+        // hint clips 3..=5, the HalfOpen probe closes it, and node 1
+        // goes down again after one replay.
+        let mut fill = PeerFill::new(2, PeerBreaker::new(2, 4));
+        let probes = [Probe::Down, Probe::Down, Probe::Answered(false)];
+        let mut link = Scripted(probes.into(), [true, false].into(), vec![]);
+        for id in 1..=6 {
+            assert!(!fill.fill(0, ClipId::new(id), &[0, 1], &mut link));
+        }
+        assert_eq!(link.2, [3, 4], "the failed replay stops the drain");
+        assert_eq!(fill.replayed, 1);
+        assert_eq!(fill.hints[1], [ClipId::new(4), ClipId::new(5)]);
+        assert_eq!(fill.breaker(1).state(), BreakerState::Closed);
+        assert_eq!(fill.breaker(1).consecutive_failures, 1);
+    }
+
+    #[test]
+    fn a_lost_reply_is_not_a_breaker_failure_but_down_is() {
+        let mut fill = PeerFill::new(2, PeerBreaker::new(1, 4));
+        let probes = [Probe::Lost, Probe::Lost, Probe::Down];
+        let mut link = Scripted(probes.into(), VecDeque::new(), vec![]);
+        for id in 1..=3 {
+            assert_eq!(fill.breaker(1).state(), BreakerState::Closed);
+            assert!(!fill.fill(0, ClipId::new(id), &[0, 1], &mut link));
+        }
+        assert_eq!(fill.breaker(1).state(), BreakerState::Open);
+        assert_eq!(fill.breaker(1).opens(), 1);
     }
 
     #[test]

@@ -517,9 +517,7 @@ mod tests {
         let grown: Vec<Duration> = (0..6).map(|n| retry.backoff(n)).collect();
         assert_eq!(
             grown,
-            [2, 4, 8, 10, 10, 10]
-                .map(Duration::from_millis)
-                .to_vec()
+            [2, 4, 8, 10, 10, 10].map(Duration::from_millis).to_vec()
         );
         assert_eq!(retry.backoff(40), Duration::from_millis(10));
         assert_eq!(retry.backoff(u32::MAX), Duration::from_millis(10));

@@ -47,10 +47,11 @@
 //!   vnodes, placement a pure function of `(seed, membership, clip)`,
 //!   replica sets as distinct ring successors.
 //! * [`cluster`] — the cluster tier (`serve --cluster`): static
-//!   membership, client-side ring routing with read-any failover,
-//!   server-side peer fill over the binary wire (`PEERGET`) with
-//!   write-all replication, and the in-process [`ClusterHarness`] the
-//!   `clusterbench` experiment and the cluster chaos golden replay.
+//!   membership, ring routing with read-any failover, and one
+//!   [`PeerFill`] core (peer fill, write-all, breakers, hinted handoff)
+//!   over two [`PeerLink`]s — `PEERGET` over TCP in [`ClusterRuntime`],
+//!   in-process services in the [`ClusterHarness`] that the cluster
+//!   experiments and chaos goldens replay.
 //!
 //! **Equivalence anchor.** One shard + one client reproduces the serial
 //! simulator bit for bit: shard 0 runs the policy with the same derived
@@ -78,8 +79,8 @@ pub mod shard;
 pub use client::{is_busy_error, TcpCacheClient, Wire};
 pub use cluster::{
     BreakerState, ClusterError, ClusterHarness, ClusterRuntime, ClusterSpec, ClusterStats,
-    ClusterView, PeerBreaker, PeerFaults, BREAKER_FAILURE_THRESHOLD, BREAKER_PROBE_INTERVAL,
-    HANDOFF_QUEUE_LIMIT,
+    ClusterView, PeerBreaker, PeerFaults, PeerFill, PeerLink, Probe, BREAKER_FAILURE_THRESHOLD,
+    BREAKER_PROBE_INTERVAL, HANDOFF_QUEUE_LIMIT,
 };
 pub use fault::{ChaosStats, FaultKind, FaultPlan, RetryPolicy};
 pub use latency::LatencyLog;

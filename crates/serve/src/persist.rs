@@ -694,24 +694,18 @@ pub enum CrashAction {
     Surface,
 }
 
-/// Tuning knobs for the segmented WAL. Build it as
-/// `WalTuning { segment_bytes: n, ..WalTuning::default() }`, so that
-/// adding or removing a knob never breaks a caller; the hidden field
-/// keeps that spelling meaningful while there is only one knob.
+/// Tuning knobs for the segmented WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalTuning {
     /// Roll to a fresh segment once the active one reaches this many
     /// bytes (`--segment-bytes`).
     pub segment_bytes: u64,
-    #[doc(hidden)]
-    pub _more_knobs: (),
 }
 
 impl Default for WalTuning {
     fn default() -> Self {
         WalTuning {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            _more_knobs: (),
         }
     }
 }

@@ -36,10 +36,7 @@ fn seg1(dir: &Path) -> PathBuf {
 /// Tuning that rolls after every two records (24-byte header + two
 /// 25-byte frames = 74).
 fn tiny_segments() -> WalTuning {
-    WalTuning {
-        segment_bytes: 74,
-        ..WalTuning::default()
-    }
+    WalTuning { segment_bytes: 74 }
 }
 
 /// A complete sealed segment, in memory.

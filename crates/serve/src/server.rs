@@ -118,7 +118,7 @@ pub enum LoadTier {
 }
 
 /// Overload watermarks, all in pending-reply bytes — the same quantity
-/// the [`WBUF_SOFT_CAP`] backpressure uses, measured per connection and
+/// the write-buffer backpressure uses, measured per connection and
 /// summed across every live connection. A request is classified by the
 /// *worst* of its per-connection and global readings, so one pathological
 /// pipeliner degrades itself first and the whole loop only under
@@ -137,8 +137,8 @@ pub struct GovernorConfig {
 }
 
 impl Default for GovernorConfig {
-    /// Defaults sit inside the soft cap: a connection degrades at a
-    /// quarter of [`WBUF_SOFT_CAP`] (1 MiB) and sheds at three quarters
+    /// Defaults sit inside the 4 MiB write-buffer soft cap: a connection
+    /// degrades at a quarter of it (1 MiB) and sheds at three quarters
     /// (3 MiB) — before backpressure stops reading it entirely — while
     /// the global watermarks (8 MiB / 32 MiB) only trip when many
     /// connections are saturated at once.
@@ -1014,8 +1014,14 @@ mod tests {
         assert_eq!(gov.tier(0, gov.global_local_only), LoadTier::LocalOnly);
         assert_eq!(gov.tier(0, gov.global_shed), LoadTier::Shed);
         // The worst axis wins.
-        assert_eq!(gov.tier(gov.conn_shed, gov.global_local_only), LoadTier::Shed);
-        assert_eq!(gov.tier(gov.conn_local_only, gov.global_shed), LoadTier::Shed);
+        assert_eq!(
+            gov.tier(gov.conn_shed, gov.global_local_only),
+            LoadTier::Shed
+        );
+        assert_eq!(
+            gov.tier(gov.conn_local_only, gov.global_shed),
+            LoadTier::Shed
+        );
         // And the tiers are ordered so callers can compare.
         assert!(LoadTier::Normal < LoadTier::LocalOnly);
         assert!(LoadTier::LocalOnly < LoadTier::Shed);
@@ -1023,9 +1029,9 @@ mod tests {
 
     #[test]
     fn shed_tier_refuses_gets_cheaply_and_counts_them() {
+        use crate::service::ServiceConfig;
         use clipcache_core::PolicyKind;
         use clipcache_media::paper;
-        use crate::service::ServiceConfig;
 
         let repo = Arc::new(paper::variable_sized_repository_of(24));
         let capacity = repo.cache_capacity_for_ratio(0.25);
@@ -1051,7 +1057,11 @@ mod tests {
         assert!(matches!(reply, Reply::Busy));
         assert!(!quit);
         assert_eq!(shed, 1);
-        assert_eq!(service.stats().requests(), 0, "shed GETs never touch shards");
+        assert_eq!(
+            service.stats().requests(),
+            0,
+            "shed GETs never touch shards"
+        );
 
         // STATS is served at every tier and reports the shed count.
         let (reply, _) = execute(

@@ -158,7 +158,10 @@ fn twin_breakers_fed_the_same_sequence_are_structurally_equal() {
         drive(&mut b, ok);
         assert_eq!(a, b, "twin breakers diverged");
     }
-    assert!(a.opens() > 0, "sequence should trip the breaker at least once");
+    assert!(
+        a.opens() > 0,
+        "sequence should trip the breaker at least once"
+    );
 }
 
 #[test]
@@ -196,7 +199,10 @@ fn open_skips_exactly_probe_interval_attempts_then_half_opens() {
     assert_eq!(breaker.state(), BreakerState::Open);
     // interval-1 refusals, without record (nothing was admitted)...
     for skip in 1..BREAKER_PROBE_INTERVAL {
-        assert!(!breaker.admit(), "attempt {skip} while Open must be skipped");
+        assert!(
+            !breaker.admit(),
+            "attempt {skip} while Open must be skipped"
+        );
         assert_eq!(breaker.state(), BreakerState::Open);
     }
     // ...then the interval-th attempt is the HalfOpen probe, and its
@@ -224,17 +230,56 @@ fn dead_peer_probe_cost_is_bounded_by_the_interval() {
     // other miss is served locally without waiting on the peer.
     let attempts = 10_000u64;
     let outcomes = vec![false; attempts as usize];
-    let admitted = check_against_model(
-        &outcomes,
-        BREAKER_FAILURE_THRESHOLD,
-        BREAKER_PROBE_INTERVAL,
-    );
+    let admitted =
+        check_against_model(&outcomes, BREAKER_FAILURE_THRESHOLD, BREAKER_PROBE_INTERVAL);
     let bound = u64::from(BREAKER_FAILURE_THRESHOLD) + attempts / BREAKER_PROBE_INTERVAL + 1;
     assert!(
         admitted <= bound,
         "dead peer admitted {admitted} probes over {attempts} attempts (bound {bound})"
     );
-    assert!(admitted >= attempts / BREAKER_PROBE_INTERVAL, "probes must keep flowing");
+    assert!(
+        admitted >= attempts / BREAKER_PROBE_INTERVAL,
+        "probes must keep flowing"
+    );
+}
+
+#[test]
+fn breaker_counts_failures_not_clocks() {
+    let mut b = PeerBreaker::new(3, 4);
+    assert_eq!(b.state(), BreakerState::Closed);
+    for _ in 0..2 {
+        assert!(b.admit());
+        b.record(false);
+    }
+    assert_eq!(b.state(), BreakerState::Closed, "K-1 failures stay Closed");
+    assert!(b.admit());
+    b.record(false);
+    assert_eq!(
+        b.state(),
+        BreakerState::Open,
+        "Kth consecutive failure trips"
+    );
+    assert_eq!(b.opens(), 1);
+    for _ in 0..3 {
+        assert!(!b.admit(), "Open skips M-1 attempts");
+    }
+    assert!(b.admit(), "Mth attempt is the HalfOpen probe");
+    assert_eq!(b.state(), BreakerState::HalfOpen);
+    b.record(false);
+    assert_eq!(b.state(), BreakerState::Open, "failed probe re-opens");
+    for _ in 0..3 {
+        assert!(!b.admit());
+    }
+    assert!(b.admit());
+    b.record(true);
+    assert_eq!(b.state(), BreakerState::Closed, "successful probe heals");
+    assert_eq!(b.opens(), 2);
+    // A success anywhere resets the consecutive-failure count.
+    for ok in [false, false, true, false, false] {
+        assert!(b.admit());
+        b.record(ok);
+    }
+    assert_eq!(b.state(), BreakerState::Closed);
 }
 
 proptest! {

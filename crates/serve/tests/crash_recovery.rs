@@ -85,10 +85,7 @@ fn open_tuned_with_crash(
 /// on the way out. Small enough that short traces cross several
 /// segment boundaries.
 fn four_record_segments() -> WalTuning {
-    WalTuning {
-        segment_bytes: 124,
-        ..WalTuning::default()
-    }
+    WalTuning { segment_bytes: 124 }
 }
 
 /// Drive `trace` until the armed crash point fires; returns how many

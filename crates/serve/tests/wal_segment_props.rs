@@ -200,7 +200,6 @@ fn assert_subsumed_prefix_skips(total: u64, cutoff: u64) {
     let dir = scratch(&format!("skip-{total}-{cutoff}"));
     let tuning = WalTuning {
         segment_bytes: (SEGMENT_HEADER_BYTES + 2 * FRAME_BYTES) as u64,
-        ..WalTuning::default()
     };
     {
         let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
@@ -268,7 +267,6 @@ fn mid_log_corruption_is_loud_not_a_cold_start() {
     let dir = scratch("midlog");
     let tuning = WalTuning {
         segment_bytes: (SEGMENT_HEADER_BYTES + 2 * FRAME_BYTES) as u64,
-        ..WalTuning::default()
     };
     {
         let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
