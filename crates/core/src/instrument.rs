@@ -10,10 +10,9 @@
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_workload::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Per-clip counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClipCounters {
     /// Requests for this clip.
     pub requests: u64,

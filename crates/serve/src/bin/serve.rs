@@ -5,8 +5,7 @@
 //!       [--ratio f] [--seed n|0xHEX] [--max-conns n]
 //!       [--read-timeout ms] [--chaos]
 //!       [--data-dir path] [--wal-sync always|off]
-//!       [--commit-window-us n] [--segment-bytes n]
-//!       [--checkpoint-every n] [--crash-at kind:N]
+//!       [--segment-bytes n] [--checkpoint-every n] [--crash-at kind:N]
 //!       [--cluster i --peers a,b,c [--replication r] [--peer-timeout ms]
 //!        [--peer-connect-timeout ms] [--peer-read-timeout ms]]
 //! ```
@@ -29,11 +28,9 @@
 //! process made durable before listening; `--wal-sync` picks the fsync
 //! policy (`off` flushes to the OS per append — survives `kill -9`;
 //! `always` adds one fsync per event-loop turn, before any of the turn's
-//! replies is written — survives power loss); `--commit-window-us`
-//! (needs `--wal-sync always`) lets a turn linger up to that many
-//! microseconds for more ready requests before its fsync;
-//! `--segment-bytes` sets the WAL segment-roll threshold; `--checkpoint-every`
-//! sets the accesses between checkpoint refreshes; `--crash-at`
+//! replies is written — survives power loss); `--segment-bytes` sets
+//! the WAL segment-roll threshold; `--checkpoint-every` sets the
+//! accesses between checkpoint refreshes; `--crash-at`
 //! (requires `--data-dir`) arms a deterministic crash point
 //! (`append:N`, `torn:N`, `checkpoint:N`) that kills the process with
 //! exit code 137 — the chaos harness's crash-restart loop.
@@ -182,15 +179,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--wal-sync needs always or off")?;
                 args.wal_sync = WalSync::parse(&v)?;
             }
-            "--commit-window-us" => {
-                let v = argv
-                    .next()
-                    .ok_or("--commit-window-us needs microseconds (0 = no linger)")?;
-                let us: u64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --commit-window-us: {e}"))?;
-                args.server.commit_window = Duration::from_micros(us);
-            }
             "--segment-bytes" => {
                 let v = argv.next().ok_or("--segment-bytes needs a byte count")?;
                 let n: u64 = v.parse().map_err(|e| format!("bad --segment-bytes: {e}"))?;
@@ -259,8 +247,8 @@ fn parse_args() -> Result<Args, String> {
                      [--clips n] [--ratio f] [--chunk-size mb] [--seed n|0xHEX] \
                      [--max-conns n] \
                      [--read-timeout ms] [--chaos] [--data-dir path] \
-                     [--wal-sync always|off] [--commit-window-us n] \
-                     [--segment-bytes n] [--checkpoint-every n] [--crash-at kind:N]\n\
+                     [--wal-sync always|off] [--segment-bytes n] \
+                     [--checkpoint-every n] [--crash-at kind:N]\n\
                      \x20      [--cluster i --peers a,b,c [--replication r] \
                      [--peer-timeout ms] [--peer-connect-timeout ms] \
                      [--peer-read-timeout ms]]\n\
@@ -272,11 +260,9 @@ fn parse_args() -> Result<Args, String> {
                      --data-dir makes every shard durable (checkpoint + segmented\n\
                      WAL) and recovers previous state on start; --wal-sync always\n\
                      fsyncs once per event-loop turn before its replies go out;\n\
-                     --commit-window-us n lets a turn linger up to n us for more\n\
-                     requests first (needs --wal-sync always); --segment-bytes\n\
-                     sets the WAL segment-roll threshold; --crash-at arms a deterministic crash\n\
-                     point (append:N, torn:N, checkpoint:N, seal:N,\n\
-                     segment-roll:N);\n\
+                     --segment-bytes sets the WAL segment-roll threshold;\n\
+                     --crash-at arms a deterministic crash point (append:N,\n\
+                     torn:N, checkpoint:N, seal:N, segment-roll:N);\n\
                      --cluster i joins the static membership in --peers (same list\n\
                      and --seed on every member) as member i, peer-filling misses\n\
                      from the clip's other ring owners at --replication r;\n\
@@ -294,15 +280,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.tuning != WalTuning::default() && args.data_dir.is_none() {
         return Err("--segment-bytes needs --data-dir (it tunes the WAL)".into());
-    }
-    if !args.server.commit_window.is_zero()
-        && (args.data_dir.is_none() || args.wal_sync != WalSync::Always)
-    {
-        return Err(
-            "--commit-window-us needs --data-dir and --wal-sync always (it bounds how long \
-             a turn lingers before its fsync; without one it does nothing)"
-                .into(),
-        );
     }
     match args.cluster {
         Some(me) => {

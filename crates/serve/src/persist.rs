@@ -9,8 +9,8 @@
 //! * **Checkpoint** — a [`DurableCheckpoint`] file holding the shard's
 //!   [`CacheSnapshot`] (resident set, policy, capacity, virtual clock),
 //!   its [`HitStats`] and the WAL sequence number it covers, serialized
-//!   through the hand-rolled `workload::json` codec (serde is stubbed
-//!   offline). Checkpoints are written atomically: full tmp file, fsync,
+//!   through the workspace's `workload::json` codec. Checkpoints are
+//!   written atomically: full tmp file, fsync,
 //!   rename — a crash mid-checkpoint leaves the previous checkpoint
 //!   intact.
 //! * **WAL** — an append-only log of every access since the last

@@ -34,8 +34,7 @@
 //! and only then writes the held replies — or an `ERR` in place of
 //! each, if the sync failed. So no reply leaves before the fsync
 //! covering its WAL record, and requests that arrive together share
-//! it. [`ServerConfig::commit_window`] lets a turn linger for more
-//! ready requests before its sync.
+//! it.
 //!
 //! ## Resilience
 //!
@@ -185,10 +184,6 @@ pub struct ServerConfig {
     pub cluster: Option<ClusterSpec>,
     /// Overload watermarks for the two-tier governor.
     pub governor: GovernorConfig,
-    /// Longest a turn lingers for more ready requests before its commit
-    /// point (`--commit-window-us`; zero = sync as soon as the turn's
-    /// events are handled).
-    pub commit_window: Duration,
 }
 
 /// Minimal safe wrapper over the vendored epoll shim. Owns the epoll
@@ -500,8 +495,7 @@ impl EventLoop {
         self.conns.iter().flatten().map(Conn::pending).sum()
     }
 
-    /// One turn per iteration: handle every ready event, linger if
-    /// configured, then commit.
+    /// One turn per iteration: handle every ready event, then commit.
     fn run(&mut self) {
         let mut events = vec![libc::epoll_event { events: 0, u64: 0 }; 1024];
         loop {
@@ -515,7 +509,6 @@ impl EventLoop {
             for token in std::mem::take(&mut self.resume) {
                 self.conn_ready(token, libc::EPOLLIN);
             }
-            self.linger(&mut events);
             self.commit();
             if self.shutdown.load(Ordering::SeqCst) {
                 self.drain_and_close_all();
@@ -532,22 +525,6 @@ impl EventLoop {
                 WAKE_TOKEN => self.wake.drain(),
                 token => self.conn_ready(token as usize, ev.events),
             }
-        }
-    }
-
-    /// Keep taking newly ready requests into this turn, with zero-timeout
-    /// polls, until none are ready or the commit window has passed.
-    fn linger(&mut self, events: &mut [libc::epoll_event]) {
-        if self.config.commit_window.is_zero() || self.touched.is_empty() {
-            return;
-        }
-        let deadline = Instant::now() + self.config.commit_window;
-        while Instant::now() < deadline {
-            let n = self.epoll.wait(events, 0);
-            if n == 0 {
-                return;
-            }
-            self.dispatch(&events[..n]);
         }
     }
 

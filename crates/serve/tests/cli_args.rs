@@ -204,39 +204,3 @@ fn loadgen_refuses_kill_span_without_harness_or_serial_clients() {
         "multi-client kill spans must be refused, got: {stderr}"
     );
 }
-
-#[test]
-fn serve_refuses_a_commit_window_without_wal_sync_always() {
-    // The window bounds how long a turn lingers before its fsync; with
-    // no fsync to wait for it would do nothing, so it is refused rather
-    // than silently accepted.
-    let dir = std::env::temp_dir().join(format!("clipcache-cli-window-{}", std::process::id()));
-    let dir = dir.to_str().expect("utf-8 temp dir");
-    for args in [
-        vec!["--commit-window-us", "200"],
-        vec!["--commit-window-us", "200", "--data-dir", dir],
-        vec![
-            "--commit-window-us",
-            "200",
-            "--data-dir",
-            dir,
-            "--wal-sync",
-            "off",
-        ],
-    ] {
-        let (ok, stderr) = run_serve(&args);
-        assert!(!ok, "{args:?} must exit non-zero");
-        assert!(
-            stderr.contains("--commit-window-us") && stderr.contains("--wal-sync always"),
-            "error must name --commit-window-us and --wal-sync always, got: {stderr}"
-        );
-    }
-    // A zero window is the default and composes with anything.
-    let (ok, stderr) = run_serve(&["--commit-window-us", "0", "--bogus"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("unknown argument --bogus"),
-        "a zero window must parse, got: {stderr}"
-    );
-    let _ = std::fs::remove_dir_all(dir);
-}

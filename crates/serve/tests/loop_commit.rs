@@ -4,10 +4,10 @@
 //!
 //! Pins three promises of that commit point:
 //!
-//! * **acked ⇒ durable across SIGKILL** under the wire benchmark's
-//!   durable shape (binary wire, 2 connections × depth 16, no linger,
-//!   `--wal-sync always`, small segments): after a restart,
-//!   acked ≤ recovered ≤ sent;
+//! * **acked ⇒ durable across SIGKILL** at `--wal-sync always` with
+//!   small segments, under two loads: the wire benchmark's durable
+//!   shape (binary wire, 2 connections × depth 16) and 4 text-wire
+//!   connections at depth 1. After a restart, acked ≤ recovered ≤ sent;
 //! * **pipelined requests share fsyncs**: one write carrying 32 GETs
 //!   gets 32 replies for fewer than 32 syncs;
 //! * **a failed commit never acks**: when the turn's sync fails, every
@@ -82,7 +82,14 @@ fn spawn_server(data_dir: &Path, extra: &[&str]) -> Server {
 
 #[test]
 fn sigkill_under_pipelined_durable_load_conserves_acked_requests() {
-    let dir = scratch("kill");
+    // (wire, connections, pipeline depth)
+    for (wire, conns, depth) in [(Wire::Binary, 2u32, 16u32), (Wire::Text, 4, 1)] {
+        sigkill_conserves_acked_requests(wire, conns, depth);
+    }
+}
+
+fn sigkill_conserves_acked_requests(wire: Wire, conns: u32, depth: u32) {
+    let dir = scratch(&format!("kill-{wire:?}"));
     // Tiny segments put seals and rolls in the kill path; the huge
     // checkpoint cadence keeps recovery a pure replay, so the recovered
     // request count is exact.
@@ -90,29 +97,28 @@ fn sigkill_under_pipelined_durable_load_conserves_acked_requests() {
         &dir,
         &["--segment-bytes", "2048", "--checkpoint-every", "1000000"],
     );
-    const DEPTH: u32 = 16;
     let run_for = Duration::from_millis(300);
-    let workers: Vec<_> = (0..2u32)
+    let workers: Vec<_> = (0..conns)
         .map(|w| {
             let addr = server.addr.clone();
             std::thread::spawn(move || {
-                let mut client = TcpCacheClient::connect_wire(addr.as_str(), None, Wire::Binary)
+                let mut client = TcpCacheClient::connect_wire(addr.as_str(), None, wire)
                     .expect("client connects");
                 let (mut sent, mut acked) = (0u64, 0u64);
                 let started = Instant::now();
                 // Run past the kill: the loop ends when the socket breaks.
                 'run: while started.elapsed() < run_for * 20 {
-                    let batch: Vec<ClipId> = (0..DEPTH)
-                        .map(|i| ClipId::new(((sent as u32 + i) * 2 + w) % 24 + 1))
+                    let batch: Vec<ClipId> = (0..depth)
+                        .map(|i| ClipId::new(((sent as u32 + i) * conns + w) % 24 + 1))
                         .collect();
                     // Counted before the write: a partial write may still
                     // deliver some of the batch, so `sent` stays an upper
                     // bound on what the server could have logged.
-                    sent += DEPTH as u64;
+                    sent += depth as u64;
                     if client.send_gets(&batch).is_err() {
                         break;
                     }
-                    for _ in 0..DEPTH {
+                    for _ in 0..depth {
                         match client.recv_get() {
                             Ok(_) => acked += 1,
                             Err(_) => break 'run,
@@ -135,7 +141,7 @@ fn sigkill_under_pipelined_durable_load_conserves_acked_requests() {
     }
     assert!(
         acked > 100,
-        "the run did real work before the kill: {acked} acked"
+        "{wire:?}: the run did real work before the kill: {acked} acked"
     );
 
     let server = spawn_server(&dir, &[]);
@@ -145,11 +151,11 @@ fn sigkill_under_pipelined_durable_load_conserves_acked_requests() {
     assert_eq!(stats.wal_replayed, recovered, "pure replay, no checkpoint");
     assert!(
         recovered >= acked,
-        "an acked request vanished: {recovered} recovered < {acked} acked"
+        "{wire:?}: an acked request vanished: {recovered} recovered < {acked} acked"
     );
     assert!(
         recovered <= sent,
-        "a request was replayed twice: {recovered} recovered > {sent} sent"
+        "{wire:?}: a request was replayed twice: {recovered} recovered > {sent} sent"
     );
     client.quit().expect("clean disconnect");
     let Server {
