@@ -8,10 +8,11 @@
 //! baseline; those numbers vary run to run. This figure pins the
 //! *work*, which does not: without a checkpoint, replay and on-disk
 //! bytes grow linearly with history and sealed segments accumulate;
-//! after a checkpoint every segment is subsumed, so a reopen replays
-//! nothing and finds one bare active segment no matter how long the
-//! history was — recovery cost is flat in history once segments are
-//! subsumed.
+//! a checkpoint frame subsumes every sealed segment, so a reopen
+//! replays nothing and finds one active segment — holding less than a
+//! segment's worth of records plus the checkpoint frame — no matter
+//! how long the history was. Recovery cost is bounded in history once
+//! segments are subsumed.
 //!
 //! The run is deterministic and jobs-invariant: every cell builds its
 //! own scratch store, and every reported quantity is a count, never a
@@ -31,6 +32,8 @@ use std::sync::Arc;
 /// Records per segment in the scaled-down store: 24-byte header plus
 /// twenty 25-byte frames.
 const RECORDS_PER_SEGMENT: u64 = 20;
+/// The scaled-down store's segment-roll threshold.
+const SEGMENT_BYTES: u64 = 24 + RECORDS_PER_SEGMENT * 25;
 
 /// The two reopen variants compared, in series order.
 pub const VARIANTS: [&str; 2] = ["no checkpoint", "checkpoint at head"];
@@ -65,7 +68,7 @@ fn run_cell(history: u64, checkpointed: bool) -> (u64, u64, u64) {
     let dir = scratch_dir();
     let _ = std::fs::remove_dir_all(&dir);
     let tuning = WalTuning {
-        segment_bytes: 24 + RECORDS_PER_SEGMENT * 25,
+        segment_bytes: SEGMENT_BYTES,
     };
     {
         let (mut store, _) =
@@ -151,6 +154,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<FigureResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clipcache_serve::persist::checkpoint_frame;
 
     #[test]
     fn replay_is_linear_without_a_checkpoint_and_zero_after_one() {
@@ -179,19 +183,34 @@ mod tests {
         for fig in &figs[1..] {
             let without = fig.series_named(VARIANTS[0]).unwrap();
             let with = fig.series_named(VARIANTS[1]).unwrap();
-            // Without a checkpoint the cost grows strictly with history;
-            // with one it is the same constant at every history length.
+            // Without a checkpoint the cost grows strictly with history.
             for i in 1..without.values.len() {
                 assert!(
                     without.values[i] > without.values[i - 1],
                     "{}: column {i} must grow without a checkpoint",
                     fig.id
                 );
-                assert_eq!(
-                    with.values[i], with.values[0],
-                    "{}: column {i} must be flat after a checkpoint",
-                    fig.id
-                );
+            }
+            // With one, a single live segment at every history length,
+            // holding at most a segment's worth of records plus the
+            // checkpoint frame.
+            for (i, x) in fig.x.iter().enumerate() {
+                if fig.id == "walbench_bytes" {
+                    let frame = checkpoint_frame(&checkpoint_at(x.parse().unwrap()).to_json());
+                    let bound = (SEGMENT_BYTES as usize + frame.len()) as f64;
+                    assert!(
+                        with.values[i] <= bound,
+                        "{}: column {i} holds {} bytes, past {bound}",
+                        fig.id,
+                        with.values[i]
+                    );
+                } else {
+                    assert_eq!(
+                        with.values[i], with.values[0],
+                        "{}: column {i} must be flat after a checkpoint",
+                        fig.id
+                    );
+                }
             }
         }
     }

@@ -62,7 +62,8 @@
 //! hinted handoff, rendered as the report's `degraded` block.
 //!
 //! `--data-dir` (inproc targets only) runs the in-process service
-//! durably — checkpoint + WAL per shard, recovered on open — so
+//! durably — one WAL with checkpoint frames per shard, recovered on
+//! open — so
 //! `--check-serial 0` against a fresh data dir proves persistence does
 //! not perturb behavior, the check CI's crash-smoke job runs. A
 //! `--faults` spec carrying `crash=append:N` (etc.) arms the durable

@@ -23,17 +23,18 @@
 //! for that many milliseconds with `ERR idle timeout`; `--chaos` honors
 //! the `POISON` fault-injection command (refused otherwise).
 //!
-//! Durability knobs: `--data-dir` persists every shard (checkpoint +
-//! WAL) beneath the given directory and recovers whatever a previous
+//! Durability knobs: `--data-dir` persists every shard (a segmented
+//! WAL with checkpoint frames) beneath the given directory and recovers whatever a previous
 //! process made durable before listening; `--wal-sync` picks the fsync
 //! policy (`off` flushes to the OS per append — survives `kill -9`;
 //! `always` adds one fsync per event-loop turn, before any of the turn's
 //! replies is written — survives power loss); `--segment-bytes` sets
 //! the WAL segment-roll threshold; `--checkpoint-every` sets the
-//! accesses between checkpoint refreshes; `--crash-at`
+//! accesses between checkpoint frames; `--crash-at`
 //! (requires `--data-dir`) arms a deterministic crash point
-//! (`append:N`, `torn:N`, `checkpoint:N`) that kills the process with
-//! exit code 137 — the chaos harness's crash-restart loop.
+//! (`append:N`, `torn:N`, `checkpoint:N`, `seal:N`, `segment-roll:N`)
+//! that kills the process with exit code 137 — the chaos harness's
+//! crash-restart loop.
 //!
 //! Cluster knobs: `--cluster i` makes this process member `i` of a
 //! static membership given by `--peers` (a comma-separated address
@@ -257,8 +258,8 @@ fn parse_args() -> Result<Args, String> {
                      residency + GETRANGE probes; 0 = whole-clip, the default);\n\
                      --max-conns refuses excess connections with ERR server busy,\n\
                      --read-timeout reclaims idle connections, --chaos honors POISON;\n\
-                     --data-dir makes every shard durable (checkpoint + segmented\n\
-                     WAL) and recovers previous state on start; --wal-sync always\n\
+                     --data-dir makes every shard durable (a segmented WAL with\n\
+                     checkpoint frames) and recovers previous state on start; --wal-sync always\n\
                      fsyncs once per event-loop turn before its replies go out;\n\
                      --segment-bytes sets the WAL segment-roll threshold;\n\
                      --crash-at arms a deterministic crash point (append:N,\n\

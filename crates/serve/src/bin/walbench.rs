@@ -24,8 +24,9 @@
 //!   requests share fsyncs.
 //! * **recovery cells** — wall-clock reopen time versus WAL history,
 //!   with and without a covering checkpoint. Without one, replay work
-//!   grows with the log; with one, the checkpoint subsumes every
-//!   segment and recovery stays flat no matter how long the history.
+//!   grows with the log; with one, the checkpoint frame subsumes every
+//!   sealed segment, so recovery decodes at most the one active
+//!   segment and replays nothing, no matter how long the history.
 //!
 //! Throughput cells report the best of three trials. The report *shape*
 //! is deterministic (same cells, same keys); the wall-clock numbers vary

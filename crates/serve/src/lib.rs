@@ -38,11 +38,11 @@
 //!   threads replaying round-robin partitions of a seeded trace against
 //!   the in-process service or a TCP address, optionally through a
 //!   fault plan (`--faults`).
-//! * [`persist`] — durable per-shard state (`--data-dir`): periodic
-//!   checkpoints plus a segmented, CRC-framed write-ahead log
-//!   (`--segment-bytes`), fsynced once per event-loop turn at
-//!   `--wal-sync always`, and deterministic crash points
-//!   (`--crash-at`) so recovery is provable, not hoped-for.
+//! * [`persist`] — durable per-shard state (`--data-dir`): a
+//!   segmented, CRC-framed write-ahead log (`--segment-bytes`) whose
+//!   periodic checkpoints are frames in the log, fsynced once per
+//!   event-loop turn at `--wal-sync always`, and deterministic crash
+//!   points (`--crash-at`) so recovery is provable, not hoped-for.
 //! * [`ring`] — the deterministic consistent-hash ring: SplitMix64
 //!   vnodes, placement a pure function of `(seed, membership, clip)`,
 //!   replica sets as distinct ring successors.

@@ -1,81 +1,104 @@
-//! Durable per-shard cache state: checkpoints plus a segmented
-//! write-ahead log, fsynced once per commit point.
+//! Durable per-shard cache state: a segmented write-ahead log whose
+//! checkpoints are frames in the log itself, fsynced once per commit
+//! point.
 //!
 //! The paper's whole argument is that a cache hit means the clip
 //! survives disconnection — which is only true if the cache itself
 //! survives a crash. This module makes a shard's state durable with the
-//! classic checkpoint + WAL pairing:
+//! classic checkpoint + WAL pairing, both inside one log:
 //!
-//! * **Checkpoint** — a [`DurableCheckpoint`] file holding the shard's
-//!   [`CacheSnapshot`] (resident set, policy, capacity, virtual clock),
-//!   its [`HitStats`] and the WAL sequence number it covers, serialized
-//!   through the workspace's `workload::json` codec. Checkpoints are
-//!   written atomically: full tmp file, fsync,
-//!   rename — a crash mid-checkpoint leaves the previous checkpoint
-//!   intact.
-//! * **WAL** — an append-only log of every access since the last
-//!   checkpoint, kept as fixed-size numbered **segments**
-//!   (`wal.000001.log`, `wal.000002.log`, …). Each record is
+//! * **Records** — one per access, kept as fixed-size numbered
+//!   **segments** (`wal.000001.log`, `wal.000002.log`, …). Each record is
 //!   length-prefixed and CRC-framed ([`crc32`] over the length *and*
 //!   payload, so a corrupted length cannot masquerade as a valid
-//!   frame). Recovery replays the log through the shard's zero-alloc
+//!   frame). Recovery replays them through the shard's zero-alloc
 //!   `access_into` path.
+//! * **Checkpoint frames** — a [`DurableCheckpoint`] (the shard's
+//!   [`CacheSnapshot`], its [`HitStats`] and the sequence number of the
+//!   last record before it, serialized through the workspace's
+//!   `workload::json` codec) appended to the active segment like a
+//!   record: [`CHECKPOINT_MARK`] in the length field, then the payload
+//!   length, a CRC over mark ‖ length ‖ payload, and the payload. A
+//!   checkpoint therefore shares the fsync of the commit point that
+//!   covers it, like any record; nothing is renamed or truncated.
 //!
 //! ## Segments
 //!
 //! Every segment starts with a 24-byte header (magic, [`WAL_VERSION`],
 //! its own segment number — so a renamed file or a version-skewed log
 //! is refused by name, never reinterpreted). Exactly one segment is
-//! *active* (appended to); once it reaches `--segment-bytes` it is
-//! **sealed** — a [`SEAL_MARK`] footer naming the last sequence number
-//! and a CRC over *every* byte of the segment is fsynced onto the end —
-//! and a fresh successor segment is created. Sealed segments are
+//! *active* (appended to); once an append takes it to `--segment-bytes`
+//! it is **sealed** — a [`SEAL_MARK`] footer naming the last sequence
+//! number and a CRC over *every* byte of the segment is fsynced onto the
+//! end — and a fresh successor segment is created. Sealed segments are
 //! immutable and fully durable; a single flipped bit anywhere in one
-//! fails the footer CRC loudly. A checkpoint subsumes all of them, so
-//! checkpointing deletes the sealed segments outright and truncates the
-//! active segment back to its bare header: disk usage and replay cost
-//! stay bounded no matter how long the shard runs.
+//! fails the footer CRC loudly.
+//!
+//! A checkpoint frame in the active segment subsumes every sealed
+//! segment before it. Once an fsync covers that frame the sealed
+//! segments are unlinked, oldest first — at most once per segment roll,
+//! since later checkpoints in the same segment find nothing sealed left.
+//! The active segment itself is never truncated: it keeps its records
+//! and checkpoint frames until it is sealed and subsumed in turn. So
+//! disk usage and recovery's decode work are bounded by one segment
+//! plus at most one sealed predecessor, and records replayed by
+//! `--checkpoint-every`, no matter how long the shard runs.
 //!
 //! ## Loop-level commit
 //!
 //! With `--wal-sync always` an append writes and flushes its frame to
 //! the operating system but does not fsync it: it marks the store
-//! *unsynced*. [`ShardStore::sync`] then fsyncs the active segment once,
-//! covering every record appended since the last sync. The caller picks
-//! the commit point: the epoll server calls it once per event-loop turn,
-//! after executing every ready request and before writing any of their
-//! replies, so pipelined and concurrent requests share one fsync without
-//! anyone waiting between appends. In-process callers call it before
-//! they count a request as acknowledged. A seal, a checkpoint or a
+//! *unsynced*, and so does a checkpoint frame. [`ShardStore::sync`] then
+//! fsyncs the active segment once, covering every record and checkpoint
+//! appended since the last sync, and unlinks whatever sealed segments a
+//! covered checkpoint subsumed. The caller picks the commit point: the
+//! epoll server calls it once per event-loop turn, after executing every
+//! ready request and before writing any of their replies, so pipelined
+//! and concurrent requests — and the checkpoints among them — share one
+//! fsync without anyone waiting between appends. In-process callers
+//! call it before they count a request as acknowledged. A seal or a
 //! crash-point fsync also leaves the store synced, since each of those
 //! fsyncs the records too. Acked ⇒ durable is unchanged: where the
 //! fsync happens moves, never which bytes reach the disk.
+//! [`ShardStore::syncs`] counts every fsync the store issues after
+//! open, whatever issued it.
 //!
 //! ## The recovery contract
 //!
-//! [`ShardStore::open`] loads the newest valid checkpoint and decodes
-//! the segments oldest-to-newest, tolerating exactly the artifacts a
-//! crash can leave and refusing everything else:
+//! [`ShardStore::open`] decodes the segments oldest-to-newest, restores
+//! from the newest complete checkpoint frame, and hands back only the
+//! records after it for replay. Records (and whole sealed segments)
+//! before that frame are the normal case — the checkpoint already folds
+//! them in, and they wait for the next covered checkpoint to unlink
+//! them — so they are skipped, never replayed twice, and never rewritten
+//! on open. Recovery tolerates exactly the artifacts a crash can leave
+//! and refuses everything else:
 //!
-//! * a **torn tail** — the newest segment ends mid-frame (or
-//!   mid-footer, or even mid-header), the signature of a crash during a
-//!   write. The partial bytes are truncated away and recovery proceeds
-//!   from the last complete record; the dropped byte count is reported,
-//!   never hidden.
-//! * a **subsumed prefix** — records (or whole sealed segments) with
-//!   sequence numbers at or below the checkpoint's, the signature of a
-//!   crash between the checkpoint rename and the segment cleanup. The
-//!   checkpoint already folds them in, so they are skipped (and the
-//!   interrupted cleanup finished), never replayed twice.
+//! * a **torn tail** — the newest segment ends mid-frame (mid-record,
+//!   mid-checkpoint, mid-footer, or even mid-header), the signature of a
+//!   crash during a write. The partial bytes are truncated away and
+//!   recovery proceeds from the last complete frame; a torn checkpoint
+//!   frame leaves the previous checkpoint in charge. The dropped byte
+//!   count is reported, never hidden.
 //! * a **sealed newest segment** — a crash in the roll window, after
 //!   the seal fsync but before the successor segment was created.
 //!   Recovery opens a fresh successor; nothing was lost.
-//! * **corruption** — a complete frame whose CRC or length prefix does
-//!   not match the fixed layout, a sequence break, a failed seal-footer
-//!   CRC, a gap in the segment numbering, or a pre-segment single-file
-//!   `wal.log`. That is bit rot or foul play, not a crash artifact, and
-//!   recovery refuses loudly ([`PersistError::Corrupt`]) rather than
-//!   replaying garbage.
+//! * **corruption** — a complete frame whose CRC fails or whose length
+//!   prefix is neither the fixed record layout nor a checkpoint mark
+//!   with a payload length within [`MAX_CHECKPOINT_BYTES`], a sequence
+//!   break (records are contiguous across checkpoint frames, and the
+//!   newest checkpoint's `seq` must be that of the record just before
+//!   it), a failed seal-footer CRC, a gap in the segment numbering, or a
+//!   file of an older layout — the single-file `wal.log`, or the
+//!   `checkpoint.json`/`checkpoint.tmp` pair that version-2 logs kept
+//!   beside their segments. That is bit rot, foul play or version skew,
+//!   not a crash artifact, and recovery refuses loudly
+//!   ([`PersistError::Corrupt`]) rather than replaying garbage. A
+//!   checkpoint length that runs past the end of the file is a torn
+//!   write unless clearing one of its bits yields a complete frame
+//!   whose CRC holds, so a single flipped length bit is loud too; only
+//!   a multi-bit corruption of the *newest* checkpoint frame's length
+//!   can still read as a torn tail.
 //!
 //! Recovery is deterministic: the same on-disk bytes produce the same
 //! rebuilt shard, bit for bit, on every attempt — the crash-kill chaos
@@ -86,42 +109,46 @@
 //!
 //! A [`CrashSpec`] arms the store with a *crash point* — die after the
 //! Nth WAL append, write only half of the Nth append (a torn write),
-//! die midway through the Nth checkpoint, write only half of the Nth
-//! seal footer (`seal:N`), or die after the Nth seal lands but before
-//! the successor segment exists (`segment-roll:N`). The store performs
-//! the partial effect, then reports [`PersistError::CrashInjected`];
-//! the service maps that to `process::exit(137)` in the binaries
-//! (`--crash-at`) or surfaces it to an in-process harness. Crash points
-//! count operations performed *after* recovery, so a crash-restart loop
-//! steps deterministically through the log.
+//! write only half of the Nth checkpoint frame (`checkpoint:N`, with no
+//! fsync), write only half of the Nth seal footer (`seal:N`), or die
+//! after the Nth seal lands but before the successor segment exists
+//! (`segment-roll:N`). The store performs the partial effect, then
+//! reports [`PersistError::CrashInjected`]; the service maps that to
+//! `process::exit(137)` in the binaries (`--crash-at`) or surfaces it to
+//! an in-process harness. Crash points count operations performed
+//! *after* recovery, so a crash-restart loop steps deterministically
+//! through the log.
 
 use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_sim::metrics::HitStats;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// The single-file WAL name used before the log was segmented. Found
 /// on disk it is refused by name — this build neither reads nor
 /// silently migrates the old layout.
 pub const LEGACY_WAL_FILE: &str = "wal.log";
-/// The checkpoint file inside a shard's directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.json";
-/// The scratch name a checkpoint is written to before the atomic rename.
-pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
+/// The checkpoint file, and the scratch name it was written under,
+/// that version-2 logs kept beside their segments. Found on disk they
+/// are refused by name: this build keeps checkpoints as frames inside
+/// the log and would otherwise ignore the state they hold.
+const LEGACY_CHECKPOINT_FILES: [&str; 2] = ["checkpoint.json", "checkpoint.tmp"];
 
 /// The durable-checkpoint schema version this build writes and reads.
 /// Version 2 added chunk-granular residency: the embedded snapshot
 /// carries partial prefixes and the stats carry `prefix_hits`.
 pub const CHECKPOINT_VERSION: u64 = 2;
 
-/// The WAL record-layout version this build writes and replays.
-/// Version 2 added the chunk field (17-byte payloads); version-1
-/// records are rejected by name, never reinterpreted. Every segment
-/// header carries this version, and peers compare it over the wire
-/// (`VERSION`/`KIND_HELLO`) before cooperating.
-pub const WAL_VERSION: u64 = 2;
+/// The WAL layout version this build writes and replays. Version 2
+/// added the chunk field (17-byte payloads); version 3 moved
+/// checkpoints from a side file into the log as checkpoint frames.
+/// Other versions are rejected by name, never reinterpreted. Every
+/// segment header carries this version, and peers compare it over the
+/// wire (`VERSION`/`KIND_HELLO`) before cooperating.
+pub const WAL_VERSION: u64 = 3;
 
 /// Magic bytes opening every WAL segment header.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"CLIPWAL\0";
@@ -133,6 +160,19 @@ pub const SEGMENT_FOOTER_BYTES: usize = 16;
 /// Record frames always declare the one fixed payload length, so the
 /// mark can never be confused with a valid frame.
 pub const SEAL_MARK: u32 = 0xFFFF_FFFF;
+/// The length-field value that marks a checkpoint frame:
+/// `mark ‖ payload length ‖ crc ‖ payload`, the CRC over mark ‖ length
+/// ‖ payload. It is two bits away from [`SEAL_MARK`] and far from the
+/// record length, so no single flipped bit turns one kind of frame
+/// into another.
+pub const CHECKPOINT_MARK: u32 = 0xFFFF_FFFC;
+/// Bytes in a checkpoint frame before its payload: mark (4) + payload
+/// length (4) + CRC (4).
+pub const CHECKPOINT_HEADER_BYTES: usize = 12;
+/// The largest checkpoint payload a frame may declare. A larger length
+/// field is corruption, so a flipped high bit is loud instead of
+/// reading as a frame that runs past the end of the file.
+pub const MAX_CHECKPOINT_BYTES: usize = 1 << 28;
 /// Default segment-roll threshold (`--segment-bytes`).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 
@@ -155,6 +195,26 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// The byte-at-a-time lookup table behind [`Crc32`]: entry `i` is the
+/// register after eight rounds of the bitwise algorithm on byte `i`,
+/// built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut round = 0;
+        while round < 8 {
+            let mask = (c & 1).wrapping_neg();
+            c = (c >> 1) ^ (0xEDB8_8320 & mask);
+            round += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
 /// Streaming CRC-32, so frames can be checked without copying the
 /// length prefix and payload into one buffer, and the active segment
 /// can keep a running digest for its eventual seal footer.
@@ -168,11 +228,7 @@ impl Crc32 {
 
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= b as u32;
-            for _ in 0..8 {
-                let mask = (self.0 & 1).wrapping_neg();
-                self.0 = (self.0 >> 1) ^ (0xEDB8_8320 & mask);
-            }
+            self.0 = CRC_TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
         }
     }
 
@@ -287,13 +343,43 @@ impl WalRecord {
     }
 }
 
+/// Encode a checkpoint frame around `json` (a
+/// [`DurableCheckpoint::to_json`] payload):
+/// `CHECKPOINT_MARK(4 LE) ‖ len(4 LE) ‖ crc(4 LE) ‖ json`, CRC over
+/// `mark ‖ len ‖ json`.
+///
+/// # Panics
+/// If `json` is longer than [`MAX_CHECKPOINT_BYTES`].
+pub fn checkpoint_frame(json: &str) -> Vec<u8> {
+    assert!(
+        json.len() <= MAX_CHECKPOINT_BYTES,
+        "a {}-byte checkpoint exceeds the {MAX_CHECKPOINT_BYTES}-byte frame limit",
+        json.len()
+    );
+    let mut frame = Vec::with_capacity(CHECKPOINT_HEADER_BYTES + json.len());
+    frame.extend_from_slice(&CHECKPOINT_MARK.to_le_bytes());
+    frame.extend_from_slice(&(json.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&checkpoint_crc(json.as_bytes()).to_le_bytes());
+    frame.extend_from_slice(json.as_bytes());
+    frame
+}
+
+/// The CRC a checkpoint frame stores: over mark ‖ length ‖ payload.
+fn checkpoint_crc(payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&CHECKPOINT_MARK.to_le_bytes());
+    crc.update(&(payload.len() as u32).to_le_bytes());
+    crc.update(payload);
+    crc.finish()
+}
+
 /// How [`decode_wal`] found the end of the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalTail {
     /// The log ends exactly on a frame boundary.
     Clean,
     /// The log ends mid-frame — a crash interrupted an append. The
-    /// partial record is not replayed; `valid_bytes` is where the log
+    /// partial frame is not replayed; `valid_bytes` is where the log
     /// should be truncated and `dropped_bytes` what the truncation
     /// discards.
     Torn {
@@ -308,6 +394,10 @@ pub enum WalTail {
 enum FrameStep {
     /// A complete, valid record; the second field is the next position.
     Record(WalRecord, usize),
+    /// A complete checkpoint frame whose CRC holds: its payload's byte
+    /// range, then the next position. Only the newest checkpoint in a
+    /// log is ever parsed.
+    Checkpoint(Range<usize>, usize),
     /// The bytes end mid-frame: a torn write, not corruption.
     Torn,
 }
@@ -321,7 +411,11 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
         return Ok(FrameStep::Torn);
     }
     let len_bytes = &bytes[pos..pos + 4];
-    let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+    let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes"));
+    if len == CHECKPOINT_MARK {
+        return decode_checkpoint_frame(bytes, pos);
+    }
+    let len = len as usize;
     // The length field is the first thing an append writes, so a torn
     // write can truncate it but never leave it complete-and-wrong.
     // Records are fixed-size, so a complete length that is not the
@@ -330,13 +424,13 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
     // truncate valid frames after it.
     if len == V1_RECORD_PAYLOAD_BYTES {
         // A version-1 log (13-byte payloads: seq + clip + op, no
-        // chunk field). Reinterpreting it under the version-2
-        // layout would shear every field, so refuse by name.
+        // chunk field). Reinterpreting it under the current layout
+        // would shear every field, so refuse by name.
         return Err(PersistError::Corrupt {
             offset: pos as u64,
             reason: format!(
                 "WAL record uses the version-1 {V1_RECORD_PAYLOAD_BYTES}-byte \
-                 whole-clip layout; this build reads only the version-2 \
+                 whole-clip layout; this build reads only the \
                  {RECORD_PAYLOAD_BYTES}-byte chunk-aware layout — delete the \
                  old data directory (or replay it with a version-1 build) \
                  instead of mixing formats"
@@ -352,7 +446,7 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
             ),
         });
     }
-    if remaining < FRAME_HEADER_BYTES || remaining - FRAME_HEADER_BYTES < len {
+    if remaining < FRAME_HEADER_BYTES + len {
         // The frame promises more bytes than the file holds: an
         // append died mid-write.
         return Ok(FrameStep::Torn);
@@ -401,15 +495,62 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
     ))
 }
 
+/// Decode the checkpoint frame starting at `pos` (its mark already
+/// read): bound the declared length, then check the CRC.
+fn decode_checkpoint_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
+    let remaining = bytes.len() - pos;
+    if remaining < CHECKPOINT_HEADER_BYTES {
+        return Ok(FrameStep::Torn);
+    }
+    let len = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
+    if len > MAX_CHECKPOINT_BYTES {
+        return Err(PersistError::Corrupt {
+            offset: pos as u64,
+            reason: format!(
+                "checkpoint frame declares {len} payload bytes, past the \
+                 {MAX_CHECKPOINT_BYTES}-byte limit"
+            ),
+        });
+    }
+    let start = pos + CHECKPOINT_HEADER_BYTES;
+    let stored_crc = u32::from_le_bytes(bytes[pos + 8..start].try_into().expect("4 bytes"));
+    let body = &bytes[start..];
+    if body.len() < len {
+        // The frame runs past the end of the file: a torn write —
+        // unless clearing one bit of the length yields a complete frame
+        // whose CRC holds, which is a flipped bit hiding the valid
+        // frames after it.
+        let flipped = (0..32)
+            .map(|bit| len & !(1 << bit))
+            .any(|l| l < len && l <= body.len() && checkpoint_crc(&body[..l]) == stored_crc);
+        if flipped {
+            return Err(PersistError::Corrupt {
+                offset: pos as u64,
+                reason: "checkpoint frame length has a flipped bit".into(),
+            });
+        }
+        return Ok(FrameStep::Torn);
+    }
+    if checkpoint_crc(&body[..len]) != stored_crc {
+        return Err(PersistError::Corrupt {
+            offset: pos as u64,
+            reason: "checkpoint frame CRC mismatch".into(),
+        });
+    }
+    Ok(FrameStep::Checkpoint(start..start + len, start + len))
+}
+
 /// Decode a bare WAL frame stream (no segment header) into records.
+/// Checkpoint frames are validated and skipped.
 ///
 /// An *incomplete* final frame (fewer bytes than its header or declared
 /// length promises) is a torn tail: the complete prefix is returned with
 /// [`WalTail::Torn`]. A frame whose (fully present) length prefix is not
-/// the fixed record layout, whose CRC fails, or that breaks anything
-/// else is corruption and fails loudly — no record after the first
-/// invalid byte is ever returned, no valid frame is ever silently
-/// discarded as a "torn tail", and no invalid record is ever replayed.
+/// the fixed record layout or a checkpoint mark, whose CRC fails, or
+/// that breaks anything else is corruption and fails loudly — no record
+/// after the first invalid byte is ever returned, no valid record frame
+/// is ever silently discarded as a "torn tail", and no invalid record is
+/// ever replayed.
 pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<WalRecord>, WalTail), PersistError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -419,6 +560,7 @@ pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<WalRecord>, WalTail), PersistErro
                 records.push(record);
                 pos = next;
             }
+            FrameStep::Checkpoint(_, next) => pos = next,
             FrameStep::Torn => {
                 return Ok((
                     records,
@@ -448,7 +590,18 @@ pub enum SegmentEnd {
     },
 }
 
-/// Decode one on-disk segment (header, frames, optional seal footer).
+/// Everything recovery needs from one decoded segment.
+struct SegmentFrames {
+    records: Vec<WalRecord>,
+    /// The segment's newest checkpoint frame: how many of `records`
+    /// precede it, and its payload's byte range.
+    checkpoint: Option<(usize, Range<usize>)>,
+    end: SegmentEnd,
+}
+
+/// Decode one on-disk segment (header, frames, optional seal footer)
+/// into its records and how it ends. Checkpoint frames are validated
+/// and skipped.
 ///
 /// `no` is the number the file name claims; the header must agree.
 /// Torn artifacts (short header, mid-frame tail, partial footer) come
@@ -458,16 +611,23 @@ pub enum SegmentEnd {
 /// flipped bit anywhere in a sealed segment (the footer CRC covers
 /// every byte).
 pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentEnd), PersistError> {
+    decode_segment_frames(bytes, no).map(|s| (s.records, s.end))
+}
+
+fn decode_segment_frames(bytes: &[u8], no: u64) -> Result<SegmentFrames, PersistError> {
+    let mut frames = SegmentFrames {
+        records: Vec::new(),
+        checkpoint: None,
+        end: SegmentEnd::Unsealed(WalTail::Clean),
+    };
     if bytes.len() < SEGMENT_HEADER_BYTES {
         // The segment was created but its header never finished: a
         // crash artifact, only tolerable on the newest segment.
-        return Ok((
-            Vec::new(),
-            SegmentEnd::Unsealed(WalTail::Torn {
-                valid_bytes: 0,
-                dropped_bytes: bytes.len() as u64,
-            }),
-        ));
+        frames.end = SegmentEnd::Unsealed(WalTail::Torn {
+            valid_bytes: 0,
+            dropped_bytes: bytes.len() as u64,
+        });
+        return Ok(frames);
     }
     if bytes[..8] != SEGMENT_MAGIC {
         return Err(PersistError::Corrupt {
@@ -481,8 +641,8 @@ pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentE
             offset: 8,
             reason: format!(
                 "segment header names WAL version {version}; this build reads \
-                 only version {WAL_VERSION} (which added chunk-granular \
-                 records) — replay the log with the build that wrote it \
+                 only version {WAL_VERSION} (which keeps checkpoints as frames \
+                 in the log) — replay the log with the build that wrote it \
                  instead of mixing formats"
             ),
         });
@@ -498,26 +658,23 @@ pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentE
             ),
         });
     }
-    let mut records = Vec::new();
     let mut pos = SEGMENT_HEADER_BYTES;
     loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
-            return Ok((records, SegmentEnd::Unsealed(WalTail::Clean)));
+            return Ok(frames);
         }
         if remaining >= 4
             && u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) == SEAL_MARK
         {
             if remaining < SEGMENT_FOOTER_BYTES {
-                // The seal itself tore: the records before it are fine,
+                // The seal itself tore: the frames before it are fine,
                 // the segment simply stays unsealed.
-                return Ok((
-                    records,
-                    SegmentEnd::Unsealed(WalTail::Torn {
-                        valid_bytes: pos as u64,
-                        dropped_bytes: remaining as u64,
-                    }),
-                ));
+                frames.end = SegmentEnd::Unsealed(WalTail::Torn {
+                    valid_bytes: pos as u64,
+                    dropped_bytes: remaining as u64,
+                });
+                return Ok(frames);
             }
             let last_seq = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8"));
             let stored = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4"));
@@ -529,7 +686,7 @@ pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentE
                         .into(),
                 });
             }
-            match records.last() {
+            match frames.records.last() {
                 None => {
                     return Err(PersistError::Corrupt {
                         offset: pos as u64,
@@ -554,21 +711,24 @@ pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentE
                     reason: "bytes after the seal footer".into(),
                 });
             }
-            return Ok((records, SegmentEnd::Sealed { last_seq }));
+            frames.end = SegmentEnd::Sealed { last_seq };
+            return Ok(frames);
         }
         match decode_frame(bytes, pos)? {
             FrameStep::Record(record, next) => {
-                records.push(record);
+                frames.records.push(record);
+                pos = next;
+            }
+            FrameStep::Checkpoint(payload, next) => {
+                frames.checkpoint = Some((frames.records.len(), payload));
                 pos = next;
             }
             FrameStep::Torn => {
-                return Ok((
-                    records,
-                    SegmentEnd::Unsealed(WalTail::Torn {
-                        valid_bytes: pos as u64,
-                        dropped_bytes: remaining as u64,
-                    }),
-                ));
+                frames.end = SegmentEnd::Unsealed(WalTail::Torn {
+                    valid_bytes: pos as u64,
+                    dropped_bytes: remaining as u64,
+                });
+                return Ok(frames);
             }
         }
     }
@@ -586,8 +746,9 @@ pub enum WalSync {
     /// [`ShardStore::sync`] per commit point covers all of them.
     Always,
     /// Flush to the OS page cache only (the default): survives process
-    /// death, trusts the kernel for power loss. Checkpoints and seal
-    /// footers still fsync.
+    /// death, trusts the kernel for power loss. Checkpoint frames and
+    /// seal footers still fsync before the call that wrote them
+    /// returns — one fsync each.
     #[default]
     Off,
 }
@@ -621,8 +782,9 @@ pub enum CrashPoint {
     /// The Nth WAL append writes only half its frame, then the process
     /// dies — the canonical torn write.
     TornAppend(u64),
-    /// Die midway through writing the Nth durable checkpoint (the tmp
-    /// file is half-written; the rename never happens).
+    /// The Nth checkpoint frame writes only half its bytes, with no
+    /// fsync, then the process dies. Recovery truncates the torn frame
+    /// and restores from the previous checkpoint.
     MidCheckpoint(u64),
     /// The Nth seal writes only half its footer, then the process dies.
     /// Recovery truncates the partial footer; the segment stays active.
@@ -764,8 +926,10 @@ pub enum PersistError {
         /// What failed.
         reason: String,
     },
-    /// The checkpoint file exists but cannot be trusted (bad version,
-    /// missing fields, policy mismatch with the running config).
+    /// A checkpoint cannot be trusted: the newest checkpoint frame's
+    /// payload has a bad version or missing fields, its policy does not
+    /// match the running config, or a caller asked to checkpoint a
+    /// sequence number the log does not end at.
     BadCheckpoint(String),
     /// The recovered snapshot could not rebuild a cache.
     Build(String),
@@ -873,17 +1037,13 @@ impl DurableCheckpoint {
 /// What [`ShardStore::open`] found on disk.
 #[derive(Debug)]
 pub struct DurableState {
-    /// The newest valid checkpoint, if one was ever written.
+    /// The newest complete checkpoint frame, if one was ever written.
     pub checkpoint: Option<DurableCheckpoint>,
-    /// WAL records after the checkpoint, in append order, sequence-
-    /// contiguous across all segments.
+    /// WAL records after that checkpoint frame, in append order,
+    /// sequence-contiguous across all segments.
     pub records: Vec<WalRecord>,
     /// Bytes of torn tail truncated away during open (0 for a clean log).
     pub torn_bytes_dropped: u64,
-    /// WAL records the checkpoint already subsumed (seq ≤ checkpoint
-    /// seq), skipped rather than replayed — nonzero when a crash landed
-    /// between the checkpoint rename and the segment cleanup.
-    pub subsumed_records: u64,
 }
 
 /// The segment currently being appended to.
@@ -893,18 +1053,18 @@ struct ActiveSegment {
     no: u64,
     /// Bytes on disk (header + complete frames).
     len: u64,
-    /// Running CRC over every byte on disk, extended per append so the
+    /// Running CRC over every byte on disk, extended per frame so the
     /// seal footer never re-reads the file.
     crc: Crc32,
     /// Sequence number of the last record in this segment (0 if none).
     last_seq: u64,
-    /// Records on disk in this segment.
-    records: u64,
 }
 
-/// Create segment `no` in `dir`: header written, flushed, fsynced. The
-/// handle is opened in append mode so truncation and appends compose.
-fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
+/// Create segment `no` in `dir`: header written, flushed, fsynced, and
+/// the directory fsynced so the name is durable too; `syncs` counts the
+/// fsyncs. The handle is opened in append mode so truncation and
+/// appends compose.
+fn create_segment(dir: &Path, no: u64, syncs: &mut u64) -> Result<ActiveSegment, PersistError> {
     let path = dir.join(segment_file_name(no));
     let file = OpenOptions::new().create(true).append(true).open(&path)?;
     file.set_len(0)?;
@@ -913,10 +1073,12 @@ fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
     f.write_all(&header)?;
     f.flush()?;
     file.sync_data()?;
-    // Make the file name itself durable (best effort: not every
-    // filesystem lets you open a directory for sync).
+    *syncs += 1;
+    // Best effort: not every filesystem lets you open a directory for
+    // sync.
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
+        *syncs += 1;
     }
     let mut crc = Crc32::new();
     crc.update(&header);
@@ -926,12 +1088,12 @@ fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
         len: SEGMENT_HEADER_BYTES as u64,
         crc,
         last_seq: 0,
-        records: 0,
     })
 }
 
 /// List `dir`'s WAL segments as `(number, path)`, sorted by number.
-/// A pre-segment single-file `wal.log` or an unparseable `wal.*.log`
+/// A file of an older layout (the single-file `wal.log`, a
+/// `checkpoint.json` or `checkpoint.tmp`) or an unparseable `wal.*.log`
 /// name is refused loudly.
 fn scan_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
     let mut found = Vec::new();
@@ -948,6 +1110,18 @@ fn scan_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
                      the build that wrote it or delete the data directory \
                      instead of mixing layouts",
                     segment_file_name(1)
+                ),
+            });
+        }
+        if LEGACY_CHECKPOINT_FILES.contains(&name.as_str()) {
+            return Err(PersistError::Corrupt {
+                offset: 0,
+                reason: format!(
+                    "found '{name}', a checkpoint file of the version-2 \
+                     layout; this build keeps checkpoints as frames inside \
+                     the WAL segments and would ignore it — replay the \
+                     directory with the build that wrote it or delete it \
+                     instead of mixing layouts"
                 ),
             });
         }
@@ -971,7 +1145,7 @@ fn scan_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
 }
 
 /// One shard's durable store: the active segment's append handle, its
-/// sealed predecessors, the checkpoint writer and the armed crash point.
+/// sealed predecessors and the armed crash point.
 pub struct ShardStore {
     dir: PathBuf,
     sync: WalSync,
@@ -981,21 +1155,21 @@ pub struct ShardStore {
     /// The lowest segment number still on disk; sealed predecessors of
     /// the active segment are `oldest_no..active.no`.
     oldest_no: u64,
-    /// Under [`WalSync::Always`]: records were appended since the last
+    /// A checkpoint frame in segment `n` makes every sealed segment
+    /// below `n` garbage once an fsync covers it: `Some(n)` until then.
+    drop_below: Option<u64>,
+    /// Under [`WalSync::Always`]: frames were appended since the last
     /// fsync that covered them, so [`sync`](ShardStore::sync) has work.
     unsynced: bool,
     /// Next sequence number to append.
     next_seq: u64,
-    /// Last sequence folded into the durable checkpoint.
-    ckpt_seq: u64,
-    /// Appends performed since the store was opened (crash counting).
+    /// Appends performed since the store was armed (crash counting).
     appends: u64,
-    /// Durable checkpoints written since the store was opened.
+    /// Checkpoint frames written since the store was armed.
     checkpoints: u64,
-    /// Segment seals performed since the store was opened.
+    /// Segment seals performed since the store was armed.
     seals: u64,
-    /// Fsyncs [`sync`](ShardStore::sync) has issued since the store was
-    /// opened.
+    /// Fsyncs issued since the store was opened.
     syncs: u64,
     crash: Option<CrashSpec>,
     /// A fired crash point leaves the store dead: every later operation
@@ -1011,36 +1185,22 @@ impl ShardStore {
     }
 
     /// Open (creating if absent) the store in `dir`, returning the
-    /// durable state to rebuild from.
+    /// durable state to rebuild from: the newest complete checkpoint
+    /// frame and the records after it.
     ///
-    /// A stale checkpoint tmp file (crash mid-checkpoint) is removed; a
-    /// torn tail on the newest segment is truncated in place; sealed
-    /// segments fully subsumed by the checkpoint are deleted (finishing
-    /// an interrupted checkpoint cleanup); a sealed *newest* segment
-    /// (crash in the roll window) gets a fresh successor. Mid-log
-    /// corruption, version skew, numbering gaps, a pre-segment
-    /// `wal.log` and untrusted checkpoints all fail loudly.
+    /// A torn tail on the newest segment is truncated in place, and a
+    /// sealed *newest* segment (crash in the roll window) gets a fresh
+    /// successor; nothing else is written. Sealed segments before the
+    /// newest checkpoint stay on disk until the next covered checkpoint
+    /// unlinks them. Mid-log corruption, version skew, numbering gaps,
+    /// sequence breaks, files of an older layout and untrusted
+    /// checkpoints all fail loudly.
     pub fn open_tuned(
         dir: &Path,
         sync: WalSync,
         tuning: WalTuning,
     ) -> Result<(ShardStore, DurableState), PersistError> {
         std::fs::create_dir_all(dir)?;
-        // A tmp file means a checkpoint write died before its rename;
-        // the real checkpoint (if any) is intact, the tmp is garbage.
-        let tmp = dir.join(CHECKPOINT_TMP);
-        if tmp.exists() {
-            std::fs::remove_file(&tmp)?;
-        }
-        let ckpt_path = dir.join(CHECKPOINT_FILE);
-        let checkpoint = if ckpt_path.exists() {
-            let json = std::fs::read_to_string(&ckpt_path)?;
-            Some(DurableCheckpoint::from_json(&json).map_err(PersistError::BadCheckpoint)?)
-        } else {
-            None
-        };
-        let ckpt_seq = checkpoint.as_ref().map_or(0, |c| c.seq);
-
         let listed = scan_segments(dir)?;
         for pair in listed.windows(2) {
             if pair[1].0 != pair[0].0 + 1 {
@@ -1060,16 +1220,15 @@ impl ShardStore {
             no: u64,
             path: PathBuf,
             bytes: Vec<u8>,
-            records: Vec<WalRecord>,
-            end: SegmentEnd,
+            frames: SegmentFrames,
         }
         let mut segs = Vec::with_capacity(listed.len());
         for (i, (no, path)) in listed.iter().enumerate() {
             let mut bytes = Vec::new();
             File::open(path)?.read_to_end(&mut bytes)?;
-            let (records, end) = decode_segment(&bytes, *no)?;
+            let frames = decode_segment_frames(&bytes, *no)?;
             if i + 1 != listed.len() {
-                if let SegmentEnd::Unsealed(_) = end {
+                if let SegmentEnd::Unsealed(_) = frames.end {
                     return Err(PersistError::Corrupt {
                         offset: 0,
                         reason: format!(
@@ -1084,13 +1243,16 @@ impl ShardStore {
                 no: *no,
                 path: path.clone(),
                 bytes,
-                records,
-                end,
+                frames,
             });
         }
 
-        // The concatenated log must be one contiguous sequence run...
-        let mut records: Vec<WalRecord> = segs.iter().flat_map(|s| s.records.clone()).collect();
+        // The concatenated log must be one contiguous sequence run,
+        // checkpoint frames or not.
+        let mut records: Vec<WalRecord> = segs
+            .iter()
+            .flat_map(|s| s.frames.records.iter().copied())
+            .collect();
         for (i, pair) in records.windows(2).enumerate() {
             if pair[1].seq != pair[0].seq + 1 {
                 return Err(PersistError::Corrupt {
@@ -1104,70 +1266,80 @@ impl ShardStore {
                 });
             }
         }
-        // ...that reaches back to the checkpoint. Sequence numbers are
-        // 1-based, and a run starting *past* ckpt_seq + 1 means records
-        // were lost — both are corruption. A run starting *at or before*
-        // ckpt_seq is legitimate: a crash between the checkpoint rename
-        // and the segment cleanup leaves records the checkpoint already
-        // subsumes, which recovery skips rather than refusing or
-        // replaying twice.
-        if let Some(first) = records.first() {
-            if first.seq == 0 {
-                return Err(PersistError::Corrupt {
-                    offset: 0,
-                    reason: "WAL record has seq 0 (sequence numbers are 1-based)".into(),
-                });
-            }
-            if first.seq > ckpt_seq + 1 {
-                return Err(PersistError::Corrupt {
-                    offset: 0,
-                    reason: format!(
-                        "WAL starts at seq {} but the checkpoint covers through \
-                         {ckpt_seq}: records {} through {} are missing",
-                        first.seq,
-                        ckpt_seq + 1,
-                        first.seq - 1
-                    ),
-                });
+        if records.first().is_some_and(|r| r.seq == 0) {
+            return Err(PersistError::Corrupt {
+                offset: 0,
+                reason: "WAL record has seq 0 (sequence numbers are 1-based)".into(),
+            });
+        }
+        // The newest checkpoint frame, and how many records precede it.
+        let mut before = records.len();
+        let mut newest = None;
+        for s in segs.iter().rev() {
+            before -= s.frames.records.len();
+            if let Some((k, payload)) = &s.frames.checkpoint {
+                newest = Some((before + k, &s.bytes[payload.clone()]));
+                break;
             }
         }
-        let subsumed_records = records.iter().take_while(|r| r.seq <= ckpt_seq).count() as u64;
-        records.drain(..subsumed_records as usize);
-
-        // Finish any checkpoint cleanup a crash interrupted: a sealed
-        // segment whose every record the checkpoint covers is garbage.
-        let mut oldest_no = None;
-        for s in &segs {
-            if let SegmentEnd::Sealed { last_seq } = s.end {
-                if last_seq <= ckpt_seq {
-                    std::fs::remove_file(&s.path)?;
-                    continue;
+        let checkpoint = match newest {
+            None => {
+                // Segments are only ever unlinked behind a durable
+                // checkpoint frame, so a log without one is whole.
+                if let Some(first) = records.first().filter(|r| r.seq != 1) {
+                    return Err(PersistError::Corrupt {
+                        offset: 0,
+                        reason: format!(
+                            "WAL starts at seq {} with no checkpoint frame \
+                             before it: records 1 through {} are missing",
+                            first.seq,
+                            first.seq - 1
+                        ),
+                    });
                 }
+                None
             }
-            if oldest_no.is_none() {
-                oldest_no = Some(s.no);
+            Some((at, payload)) => {
+                let ckpt = std::str::from_utf8(payload)
+                    .map_err(|_| "checkpoint frame payload is not UTF-8".to_string())
+                    .and_then(DurableCheckpoint::from_json)
+                    .map_err(PersistError::BadCheckpoint)?;
+                // The frame covers exactly the records before it (seq
+                // 0 was refused above, so `r.seq - 1` cannot wrap).
+                let covered = match at {
+                    0 => records.first().map(|r| r.seq - 1),
+                    _ => Some(records[at - 1].seq),
+                };
+                if let Some(seq) = covered.filter(|&seq| seq != ckpt.seq) {
+                    return Err(PersistError::Corrupt {
+                        offset: 0,
+                        reason: format!(
+                            "checkpoint frame covers through seq {} but the \
+                             records around it cover through seq {seq}",
+                            ckpt.seq
+                        ),
+                    });
+                }
+                records.drain(..at);
+                Some(ckpt)
             }
-        }
+        };
 
         let mut torn_bytes_dropped = 0;
+        // Fsyncs recovery itself issues are not the store's to count.
+        let mut open_syncs = 0;
         let active = match segs.last() {
-            None => create_segment(dir, 1)?,
-            Some(s) => match s.end {
+            None => create_segment(dir, 1, &mut open_syncs)?,
+            Some(s) => match s.frames.end {
                 SegmentEnd::Sealed { .. } => {
                     // A crash in the roll window: the seal landed, the
-                    // successor was never created. Open one now. (If the
-                    // sealed segment was fully subsumed it is already
-                    // deleted above; the numbering still moves forward.)
-                    create_segment(dir, s.no + 1)?
+                    // successor was never created. Open one now.
+                    create_segment(dir, s.no + 1, &mut open_syncs)?
                 }
                 SegmentEnd::Unsealed(tail) => {
                     let file = OpenOptions::new().create(true).append(true).open(&s.path)?;
-                    let disk_len;
-                    let (mut on_disk_records, mut on_disk_last) = (
-                        s.records.len() as u64,
-                        s.records.last().map_or(0, |r| r.seq),
-                    );
-                    match tail {
+                    let mut crc = Crc32::new();
+                    let disk_len = match tail {
                         WalTail::Torn {
                             valid_bytes,
                             dropped_bytes,
@@ -1181,60 +1353,42 @@ impl ShardStore {
                             f.flush()?;
                             file.sync_data()?;
                             torn_bytes_dropped = dropped_bytes;
-                            disk_len = SEGMENT_HEADER_BYTES as u64;
+                            crc.update(&header);
+                            SEGMENT_HEADER_BYTES
                         }
                         WalTail::Torn {
                             valid_bytes,
                             dropped_bytes,
                         } => {
-                            // Truncate the partial record (or partial
-                            // seal footer) so the next open sees a
-                            // clean segment.
+                            // Truncate the partial frame (or partial
+                            // seal footer) so the next open sees a clean
+                            // segment.
                             file.set_len(valid_bytes)?;
                             file.sync_data()?;
                             torn_bytes_dropped = dropped_bytes;
-                            disk_len = valid_bytes;
+                            crc.update(&s.bytes[..valid_bytes as usize]);
+                            valid_bytes as usize
                         }
                         WalTail::Clean => {
-                            if on_disk_records > 0 && on_disk_last <= ckpt_seq {
-                                // Every record is subsumed — the exact
-                                // signature of a crash between the
-                                // checkpoint rename and the cleanup.
-                                // Finish the interrupted truncation; a
-                                // crash during *this* set_len only
-                                // shortens a log whose every byte the
-                                // checkpoint already covers.
-                                file.set_len(SEGMENT_HEADER_BYTES as u64)?;
-                                file.sync_data()?;
-                                disk_len = SEGMENT_HEADER_BYTES as u64;
-                                on_disk_records = 0;
-                                on_disk_last = 0;
-                            } else {
-                                disk_len = s.bytes.len() as u64;
-                            }
+                            crc.update(&s.bytes);
+                            s.bytes.len()
                         }
-                    }
-                    let mut crc = Crc32::new();
-                    if disk_len as usize <= s.bytes.len() {
-                        crc.update(&s.bytes[..disk_len as usize]);
-                    } else {
-                        // Only reachable on the rewritten-header path,
-                        // where the bytes on disk are the fresh header.
-                        crc.update(&segment_header(s.no));
-                    }
+                    };
                     ActiveSegment {
                         file,
                         no: s.no,
-                        len: disk_len,
+                        len: disk_len as u64,
                         crc,
-                        last_seq: on_disk_last,
-                        records: on_disk_records,
+                        last_seq: s.frames.records.last().map_or(0, |r| r.seq),
                     }
                 }
             },
         };
-        let oldest_no = oldest_no.unwrap_or(active.no).min(active.no);
-        let next_seq = records.last().map_or(ckpt_seq, |r| r.seq) + 1;
+        let oldest_no = segs.first().map_or(active.no, |s| s.no);
+        let next_seq = records
+            .last()
+            .map_or(checkpoint.as_ref().map_or(0, |c| c.seq), |r| r.seq)
+            + 1;
         Ok((
             ShardStore {
                 dir: dir.to_path_buf(),
@@ -1242,9 +1396,9 @@ impl ShardStore {
                 segment_bytes: tuning.segment_bytes,
                 active,
                 oldest_no,
+                drop_below: None,
                 unsynced: false,
                 next_seq,
-                ckpt_seq,
                 appends: 0,
                 checkpoints: 0,
                 seals: 0,
@@ -1256,7 +1410,6 @@ impl ShardStore {
                 checkpoint,
                 records,
                 torn_bytes_dropped,
-                subsumed_records,
             },
         ))
     }
@@ -1280,29 +1433,35 @@ impl ShardStore {
         self.next_seq
     }
 
-    /// The last sequence folded into the durable checkpoint.
-    pub fn checkpoint_seq(&self) -> u64 {
-        self.ckpt_seq
-    }
-
     /// The active segment's number and the lowest segment number still
     /// on disk — `(oldest, active)`.
     pub fn segment_span(&self) -> (u64, u64) {
         (self.oldest_no, self.active.no)
     }
 
-    /// Fsyncs [`sync`](Self::sync) has issued since the store was
-    /// opened. Seals and checkpoints fsync too but are not counted here.
+    /// Every fsync the store has issued since it was opened: commit
+    /// points ([`sync`](Self::sync)), checkpoint frames under
+    /// [`WalSync::Off`], seals, successor-segment creation (the file and
+    /// its directory) and crash-point fsyncs. Recovery's own fsyncs
+    /// inside [`open`](Self::open) are not counted.
     pub fn syncs(&self) -> u64 {
         self.syncs
     }
 
-    /// Make every record appended so far durable with one fsync of the
-    /// active segment. A no-op when nothing is unsynced, which is always
-    /// the case under [`WalSync::Off`].
+    /// Fsync the active segment, counting it.
+    fn fsync_active(&mut self) -> std::io::Result<()> {
+        self.active.file.sync_data()?;
+        self.syncs += 1;
+        Ok(())
+    }
+
+    /// Make every frame appended so far durable with one fsync of the
+    /// active segment, then unlink the sealed segments a now-durable
+    /// checkpoint frame subsumes. A no-op when nothing is unsynced,
+    /// which is always the case under [`WalSync::Off`].
     ///
     /// A failed fsync kills the store, exactly like a failed append: the
-    /// records it should have covered may or may not be on the platter,
+    /// frames it should have covered may or may not be on the platter,
     /// so every later operation (this method included) errors rather
     /// than acknowledging them.
     pub fn sync(&mut self) -> Result<(), PersistError> {
@@ -1312,12 +1471,29 @@ impl ShardStore {
         if self.dead {
             return Err(PersistError::CrashInjected);
         }
-        if let Err(e) = self.active.file.sync_data() {
+        if let Err(e) = self.fsync_active() {
             self.kill();
             return Err(e.into());
         }
         self.unsynced = false;
-        self.syncs += 1;
+        self.drop_subsumed()
+    }
+
+    /// Unlink the sealed segments a durable checkpoint frame subsumes,
+    /// oldest first, so a crash partway leaves a contiguous run. Called
+    /// right after an fsync that covers the active segment. A failed
+    /// unlink kills the store, like every other I/O failure beneath it.
+    fn drop_subsumed(&mut self) -> Result<(), PersistError> {
+        if let Some(below) = self.drop_below.take() {
+            while self.oldest_no < below {
+                let path = self.dir.join(segment_file_name(self.oldest_no));
+                if let Err(e) = std::fs::remove_file(path) {
+                    self.kill();
+                    return Err(e.into());
+                }
+                self.oldest_no += 1;
+            }
+        }
         Ok(())
     }
 
@@ -1326,11 +1502,10 @@ impl ShardStore {
     ///
     /// The frame is flushed to the OS before the call returns; with
     /// [`WalSync::Always`] it becomes durable at the next
-    /// [`sync`](Self::sync) (or seal, checkpoint or crash-point fsync).
-    /// An armed crash point may fire here: `torn:N` writes half the
-    /// frame then dies, `append:N` dies after the frame is durable, and
-    /// `seal:N` / `segment-roll:N` fire if this append fills the
-    /// segment.
+    /// [`sync`](Self::sync) (or seal or crash-point fsync). An armed
+    /// crash point may fire here: `torn:N` writes half the frame then
+    /// dies, `append:N` dies after the frame is durable, and `seal:N` /
+    /// `segment-roll:N` fire if this append fills the segment.
     ///
     /// # Panics
     /// If `op` is [`WalOp::GetRange`] — ranged probes carry a chunk and
@@ -1369,7 +1544,7 @@ impl ShardStore {
                 let mut f: &File = &self.active.file;
                 f.write_all(&frame[..frame.len() / 2])?;
                 f.flush()?;
-                self.active.file.sync_data()?;
+                self.fsync_active()?;
                 // That fsync also made every earlier record durable.
                 self.unsynced = false;
                 self.dead = true;
@@ -1384,12 +1559,8 @@ impl ShardStore {
             self.kill();
             return Err(e);
         }
-        self.active.len += frame.len() as u64;
-        self.active.crc.update(&frame);
         self.active.last_seq = record.seq;
-        self.active.records += 1;
         self.appends += 1;
-        let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(CrashSpec {
             point: CrashPoint::AfterAppend(n),
@@ -1397,7 +1568,7 @@ impl ShardStore {
         {
             if self.appends == n {
                 // The record IS durable; the process dies right after.
-                self.active.file.sync_data()?;
+                self.fsync_active()?;
                 self.unsynced = false;
                 self.dead = true;
                 return Err(PersistError::CrashInjected);
@@ -1406,16 +1577,19 @@ impl ShardStore {
         if self.active.len >= self.segment_bytes {
             self.roll()?;
         }
-        Ok(seq)
+        Ok(record.seq)
     }
 
-    /// The fallible I/O of one append; [`append`](Self::append) kills
-    /// the store if any step fails. The fsync is left to
-    /// [`sync`](Self::sync).
+    /// The fallible I/O of one append or checkpoint: write `frame` to
+    /// the active segment and flush it to the OS. The caller kills the
+    /// store if this fails. Under [`WalSync::Always`] the fsync is left
+    /// to [`sync`](Self::sync).
     fn write_frame(&mut self, frame: &[u8]) -> Result<(), PersistError> {
         let mut f: &File = &self.active.file;
         f.write_all(frame)?;
         f.flush()?;
+        self.active.len += frame.len() as u64;
+        self.active.crc.update(frame);
         if self.sync == WalSync::Always {
             self.unsynced = true;
         }
@@ -1443,7 +1617,7 @@ impl ShardStore {
                 let mut f: &File = &self.active.file;
                 f.write_all(&footer[..SEGMENT_FOOTER_BYTES / 2])?;
                 f.flush()?;
-                self.active.file.sync_data()?;
+                self.fsync_active()?;
                 // The partial-footer fsync still made every record in
                 // the segment durable.
                 self.unsynced = false;
@@ -1451,13 +1625,11 @@ impl ShardStore {
                 return Err(PersistError::CrashInjected);
             }
         }
-        let sealed = {
+        let written = {
             let mut f: &File = &self.active.file;
-            f.write_all(&footer)
-                .and_then(|()| f.flush())
-                .and_then(|()| self.active.file.sync_data())
+            f.write_all(&footer).and_then(|()| f.flush())
         };
-        if let Err(e) = sealed {
+        if let Err(e) = written.and_then(|()| self.fsync_active()) {
             self.kill();
             return Err(e.into());
         }
@@ -1475,7 +1647,7 @@ impl ShardStore {
                 return Err(PersistError::CrashInjected);
             }
         }
-        match create_segment(&self.dir, self.active.no + 1) {
+        match create_segment(&self.dir, self.active.no + 1, &mut self.syncs) {
             Ok(next) => {
                 self.active = next;
                 Ok(())
@@ -1487,117 +1659,72 @@ impl ShardStore {
         }
     }
 
-    /// Write a durable checkpoint atomically, then drop the log it
-    /// subsumes: sealed segments are deleted outright, the active
-    /// segment is truncated back to its bare header.
+    /// Append a checkpoint frame covering every record so far.
+    /// `ckpt.seq` must be the last sequence number appended (0 before
+    /// any), and it may repeat: checkpointing twice without an append
+    /// in between is valid.
     ///
-    /// Order matters for crash safety: tmp write → fsync → rename →
-    /// segment cleanup. A crash before the rename leaves the old
-    /// checkpoint with the full log; a crash after it leaves the new
-    /// checkpoint with possibly still-undeleted segments whose subsumed
-    /// records [`open`](Self::open) then skips (and whose cleanup it
-    /// finishes) — never a state that cannot recover. A non-crash I/O
-    /// failure partway through kills the store: the disk may already
-    /// name the new checkpoint while memory still counts from the old
-    /// one, and refusing further appends beats writing sequence numbers
-    /// the checkpoint already covers.
+    /// Under [`WalSync::Always`] the frame only marks the store
+    /// unsynced, and the next [`sync`](Self::sync) makes it durable
+    /// with the records around it. Under [`WalSync::Off`] it is fsynced
+    /// before this call returns. Either way, the fsync that covers the
+    /// frame also unlinks the sealed segments before it. A torn frame
+    /// (a crash mid-write) is an ordinary torn tail that recovery
+    /// truncates, leaving the previous checkpoint in charge; a non-crash
+    /// I/O failure kills the store, since a retried frame after a
+    /// partial one would decode as garbage.
     pub fn checkpoint(&mut self, ckpt: &DurableCheckpoint) -> Result<(), PersistError> {
         if self.dead {
             return Err(PersistError::CrashInjected);
         }
-        let json = ckpt.to_json();
-        let tmp = self.dir.join(CHECKPOINT_TMP);
+        if ckpt.seq != self.next_seq - 1 {
+            return Err(PersistError::BadCheckpoint(format!(
+                "checkpoint covers through seq {} but the log ends at seq {}",
+                ckpt.seq,
+                self.next_seq - 1
+            )));
+        }
+        let frame = checkpoint_frame(&ckpt.to_json());
         if let Some(CrashSpec {
             point: CrashPoint::MidCheckpoint(n),
         }) = self.crash
         {
             if self.checkpoints + 1 == n {
-                // Half the checkpoint reaches the tmp file; the rename
-                // never happens. Recovery must ignore the tmp and keep
-                // the previous checkpoint.
-                let mut f = File::create(&tmp)?;
-                f.write_all(&json.as_bytes()[..json.len() / 2])?;
-                f.sync_data()?;
+                // Half the frame reaches the OS, never the platter; the
+                // process dies. Recovery truncates it as a torn tail.
+                let mut f: &File = &self.active.file;
+                f.write_all(&frame[..frame.len() / 2])?;
+                f.flush()?;
                 self.kill();
                 return Err(PersistError::CrashInjected);
             }
         }
-        if let Err(e) = self.write_checkpoint(&json, &tmp) {
+        if let Err(e) = self.write_frame(&frame) {
             self.kill();
             return Err(e);
         }
         self.checkpoints += 1;
-        self.ckpt_seq = ckpt.seq;
-        self.next_seq = ckpt.seq + 1;
-        // The checkpoint itself makes everything it covers durable.
-        self.unsynced = false;
-        Ok(())
-    }
-
-    /// The fallible I/O of one checkpoint; [`checkpoint`](Self::checkpoint)
-    /// kills the store if any step fails.
-    fn write_checkpoint(&mut self, json: &str, tmp: &Path) -> Result<(), PersistError> {
-        let mut f = File::create(tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_data()?;
-        drop(f);
-        std::fs::rename(tmp, self.dir.join(CHECKPOINT_FILE))?;
-        // Make the rename itself durable (best effort: not every
-        // filesystem lets you open a directory for sync).
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
+        if self.oldest_no < self.active.no {
+            self.drop_below = Some(self.active.no);
         }
-        self.drop_subsumed()?;
-        Ok(())
-    }
-
-    /// Delete every sealed segment and truncate the active one back to
-    /// its bare header — the log is empty afterward. Only called when a
-    /// durable checkpoint (or a rewind target) covers every record.
-    fn drop_subsumed(&mut self) -> Result<(), PersistError> {
-        // Oldest first, so a crash partway leaves a contiguous suffix.
-        for no in self.oldest_no..self.active.no {
-            std::fs::remove_file(self.dir.join(segment_file_name(no)))?;
+        if self.sync == WalSync::Off {
+            if let Err(e) = self.fsync_active() {
+                self.kill();
+                return Err(e.into());
+            }
+            self.drop_subsumed()?;
         }
-        self.oldest_no = self.active.no;
-        self.active.file.set_len(SEGMENT_HEADER_BYTES as u64)?;
-        self.active.file.sync_data()?;
-        let header = segment_header(self.active.no);
-        self.active.len = SEGMENT_HEADER_BYTES as u64;
-        self.active.crc = Crc32::new();
-        self.active.crc.update(&header);
-        self.active.last_seq = 0;
-        self.active.records = 0;
         Ok(())
     }
 
     /// Mark the store dead, as after a fired crash point: every later
     /// operation reports [`PersistError::CrashInjected`]. Used when an
     /// I/O failure leaves disk and memory describing different states —
-    /// refusing further appends beats silently diverging. Records not
+    /// refusing further appends beats silently diverging. Frames not
     /// yet synced stay unsynced, so a later [`sync`](Self::sync) errors
     /// instead of acknowledging them.
     pub fn kill(&mut self) {
         self.dead = true;
-    }
-
-    /// Discard every WAL record after the checkpoint — the durable
-    /// counterpart of a poisoned shard's rewind-to-checkpoint, keeping
-    /// disk and memory describing the same state. The truncation is
-    /// fsynced, so nothing is left to sync afterwards.
-    pub fn rewind_to_checkpoint(&mut self) -> Result<(), PersistError> {
-        if self.dead {
-            return Err(PersistError::CrashInjected);
-        }
-        if let Err(e) = self.drop_subsumed() {
-            // The cleanup may be partial: disk no longer matches
-            // either the pre- or post-rewind state. Refuse to continue.
-            self.kill();
-            return Err(e);
-        }
-        self.next_seq = self.ckpt_seq + 1;
-        self.unsynced = false;
-        Ok(())
     }
 }
 

@@ -59,6 +59,26 @@ fn crc32_matches_known_vectors() {
         crc32(b"The quick brown fox jumps over the lazy dog"),
         0x414F_A339
     );
+    // The lookup table agrees with the bitwise algorithm it replaced on
+    // every byte value, at every streaming split.
+    let bitwise = |bytes: &[u8]| {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    };
+    let bytes: Vec<u8> = (0..=255u8).chain((0..=255u8).rev()).collect();
+    assert_eq!(crc32(&bytes), bitwise(&bytes));
+    for split in [0, 1, 7, 255, bytes.len()] {
+        let mut crc = Crc32::new();
+        crc.update(&bytes[..split]);
+        crc.update(&bytes[split..]);
+        assert_eq!(crc.finish(), bitwise(&bytes), "split at {split}");
+    }
 }
 
 #[test]
@@ -348,13 +368,16 @@ fn crash_mid_checkpoint_keeps_the_old_checkpoint_and_wal() {
             Err(PersistError::CrashInjected)
         ));
     }
-    assert!(dir.join(CHECKPOINT_TMP).exists(), "tmp half-written");
+    let half = checkpoint_frame(&sample_checkpoint().to_json()).len() / 2;
     let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
-    // The old checkpoint and the full WAL both survive; the torn tmp
-    // is swept away.
+    // The old checkpoint and the full WAL both survive; the half-written
+    // frame is truncated away as a torn tail.
     assert_eq!(state.checkpoint.expect("old checkpoint").seq, 0);
     assert_eq!(state.records.len(), 2);
-    assert!(!dir.join(CHECKPOINT_TMP).exists());
+    assert_eq!(state.torn_bytes_dropped, half as u64, "the torn frame");
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.torn_bytes_dropped, 0, "the tail is gone");
+    assert_eq!(state.checkpoint.expect("old checkpoint").seq, 0);
 }
 
 #[test]
@@ -378,68 +401,71 @@ fn sequence_breaks_are_corruption() {
 #[test]
 fn records_subsumed_by_the_checkpoint_are_skipped_on_open() {
     let dir = tmp_dir("subsumed");
-    let seg_bytes = {
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 2;
+    {
         let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
         store.append(WalOp::Get, ClipId::new(1)).unwrap();
         store.append(WalOp::Get, ClipId::new(2)).unwrap();
-        let pre_checkpoint = std::fs::read(seg1(&dir)).unwrap();
-        let mut ckpt = sample_checkpoint();
-        ckpt.seq = 2;
         store.checkpoint(&ckpt).unwrap();
-        pre_checkpoint
-    };
-    // Simulate a crash between the checkpoint rename and the segment
-    // truncation: the subsumed records reappear on disk.
-    std::fs::write(seg1(&dir), &seg_bytes).unwrap();
+    }
+    // The records before the checkpoint frame are the normal case: they
+    // are skipped, not replayed, and the open leaves them in place.
+    let on_disk = std::fs::read(seg1(&dir)).unwrap();
     let (mut store, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
     assert_eq!(state.checkpoint.expect("checkpoint intact").seq, 2);
     assert!(state.records.is_empty(), "subsumed records not replayed");
-    assert_eq!(state.subsumed_records, 2);
     assert_eq!(state.torn_bytes_dropped, 0);
-    // Open finished the interrupted truncation: bare header remains.
     assert_eq!(
-        std::fs::metadata(seg1(&dir)).unwrap().len(),
-        SEGMENT_HEADER_BYTES as u64
+        std::fs::read(seg1(&dir)).unwrap(),
+        on_disk,
+        "open wrote nothing"
     );
     // Appends continue the chain exactly where the checkpoint ends.
     assert_eq!(store.append(WalOp::Get, ClipId::new(3)).unwrap(), 3);
     drop(store);
     let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
     assert_eq!(state.records, vec![record(3, 3, WalOp::Get)]);
-    assert_eq!(state.subsumed_records, 0);
 
-    // A stale prefix *plus* live records skips only the prefix.
-    let mut mixed = seg_bytes.clone();
-    mixed.extend_from_slice(&record(3, 3, WalOp::Get).encode());
-    std::fs::write(seg1(&dir), &mixed).unwrap();
-    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
-    assert_eq!(state.subsumed_records, 2);
-    assert_eq!(state.records, vec![record(3, 3, WalOp::Get)]);
-
-    // Recovery from a subsumed prefix is deterministic: a second
-    // open of the same bytes agrees.
-    std::fs::write(seg1(&dir), &mixed).unwrap();
+    // Recovery from a subsumed prefix is deterministic: a second open
+    // of the same bytes agrees.
     let (_, again) = ShardStore::open(&dir, WalSync::Off).unwrap();
     assert_eq!(again.records, state.records);
-    assert_eq!(again.subsumed_records, state.subsumed_records);
 
-    // A gap after the checkpoint is still corruption (records 3..4
-    // missing), as is a 0 sequence number.
-    let forged = |r: WalRecord| {
+    // Forged logs: every sequence break around a checkpoint frame is
+    // corruption — a gap after it, a frame that does not cover exactly
+    // the records before it, a log with no frame that does not start
+    // at 1, and a 0 sequence number.
+    let frame = checkpoint_frame(&ckpt.to_json());
+    let forged = |parts: &[Vec<u8>]| {
         let mut bytes = segment_header(1).to_vec();
-        bytes.extend_from_slice(&r.encode());
-        bytes
+        for p in parts {
+            bytes.extend_from_slice(p);
+        }
+        std::fs::write(seg1(&dir), bytes).unwrap();
+        ShardStore::open(&dir, WalSync::Off).map(|(_, state)| state)
     };
-    std::fs::write(seg1(&dir), forged(record(5, 1, WalOp::Get))).unwrap();
-    assert!(matches!(
-        ShardStore::open(&dir, WalSync::Off),
-        Err(PersistError::Corrupt { .. })
-    ));
-    std::fs::write(seg1(&dir), forged(record(0, 1, WalOp::Get))).unwrap();
-    assert!(matches!(
-        ShardStore::open(&dir, WalSync::Off),
-        Err(PersistError::Corrupt { .. })
-    ));
+    let r = |seq: u64| record(seq, 1, WalOp::Get).encode();
+    let ok = forged(&[r(1), r(2), frame.clone(), r(3)]).unwrap();
+    assert_eq!(ok.records.len(), 1);
+    let ok = forged(&[frame.clone(), r(3)]).unwrap();
+    assert_eq!(ok.records.len(), 1, "a frame may open the oldest segment");
+    for (label, parts) in [
+        ("gap after the frame", vec![r(1), r(2), frame.clone(), r(5)]),
+        (
+            "frame behind its record",
+            vec![r(1), r(2), r(3), frame.clone()],
+        ),
+        ("frame ahead of its record", vec![r(1), frame.clone()]),
+        ("gap after a leading frame", vec![frame.clone(), r(5)]),
+        ("no frame, not from 1", vec![r(5)]),
+        ("seq 0", vec![r(0)]),
+    ] {
+        assert!(
+            matches!(forged(&parts), Err(PersistError::Corrupt { .. })),
+            "{label} must be loud"
+        );
+    }
 }
 
 #[test]
@@ -472,13 +498,16 @@ fn inflated_length_prefix_is_corruption_not_a_torn_tail() {
 #[test]
 fn a_failed_checkpoint_kills_the_store() {
     let dir = tmp_dir("ckpt-io-fail");
-    let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
-    store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    // Rip the directory out from under the store so the tmp-file
-    // write fails mid-checkpoint.
+    let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tiny_segments()).unwrap();
+    for clip in 1..=3 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+    }
+    // Rip the directory out from under the store: the frame still lands
+    // in the open active segment, but unlinking the sealed segment it
+    // subsumes fails mid-checkpoint.
     std::fs::remove_dir_all(&dir).unwrap();
     let mut ckpt = sample_checkpoint();
-    ckpt.seq = 1;
+    ckpt.seq = 3;
     assert!(matches!(store.checkpoint(&ckpt), Err(PersistError::Io(_))));
     // Disk and memory can no longer be reconciled: the store refuses
     // every later operation instead of silently diverging.
@@ -490,28 +519,49 @@ fn a_failed_checkpoint_kills_the_store() {
         store.checkpoint(&ckpt),
         Err(PersistError::CrashInjected)
     ));
-    assert!(matches!(
-        store.rewind_to_checkpoint(),
-        Err(PersistError::CrashInjected)
-    ));
 }
 
 #[test]
-fn rewind_discards_post_checkpoint_records() {
+fn a_checkpoint_must_cover_exactly_the_log_so_far() {
+    let dir = tmp_dir("ckpt-seq");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    store.append(WalOp::Get, ClipId::new(1)).unwrap();
+    let mut ckpt = sample_checkpoint();
+    for wrong in [0, 2] {
+        ckpt.seq = wrong;
+        assert!(
+            matches!(store.checkpoint(&ckpt), Err(PersistError::BadCheckpoint(_))),
+            "seq {wrong} after one append"
+        );
+    }
+    // The refusal writes nothing and leaves the store alive; the same
+    // seq may be checkpointed any number of times.
+    ckpt.seq = 1;
+    store.checkpoint(&ckpt).unwrap();
+    store.checkpoint(&ckpt).unwrap();
+    assert_eq!(store.append(WalOp::Get, ClipId::new(2)).unwrap(), 2);
+}
+
+#[test]
+fn re_appending_a_checkpoint_discards_the_records_before_it() {
+    // A poisoned shard rewinds by appending its last checkpoint again:
+    // the same snapshot and stats, now covering every record so far.
     let dir = tmp_dir("rewind");
+    let mut ckpt = sample_checkpoint();
     {
         let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
-        let mut ckpt = sample_checkpoint();
         ckpt.seq = 0;
         store.checkpoint(&ckpt).unwrap();
         store.append(WalOp::Get, ClipId::new(1)).unwrap();
         store.append(WalOp::Get, ClipId::new(2)).unwrap();
-        store.rewind_to_checkpoint().unwrap();
-        // Sequence numbers restart from the checkpoint.
-        assert_eq!(store.append(WalOp::Get, ClipId::new(9)).unwrap(), 1);
+        ckpt.seq = 2;
+        store.checkpoint(&ckpt).unwrap();
+        // Sequence numbers keep counting up past the rewind.
+        assert_eq!(store.append(WalOp::Get, ClipId::new(9)).unwrap(), 3);
     }
     let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
-    assert_eq!(state.records, vec![record(1, 9, WalOp::Get)]);
+    assert_eq!(state.checkpoint, Some(ckpt));
+    assert_eq!(state.records, vec![record(3, 9, WalOp::Get)]);
 }
 
 // ---- segmented-log tests ----------------------------------------------
@@ -562,21 +612,25 @@ fn sealed_and_unsealed_segments_decode_round_trip() {
 #[test]
 fn segment_version_skew_and_renames_are_rejected() {
     let recs = [record(1, 1, WalOp::Get)];
-    let mut skewed = sealed_segment_bytes(1, &recs);
-    skewed[8..16].copy_from_slice(&1u64.to_le_bytes());
-    match decode_segment(&skewed, 1) {
-        Err(PersistError::Corrupt { offset, reason }) => {
-            assert_eq!(offset, 8);
-            assert!(
-                reason.contains("version 1"),
-                "names what it found: {reason}"
-            );
-            assert!(
-                reason.contains("version 2"),
-                "names what it reads: {reason}"
-            );
+    // A version-2 segment (checkpoints in a side file) is refused by
+    // version, as is any other.
+    for old in [1u64, 2] {
+        let mut skewed = sealed_segment_bytes(1, &recs);
+        skewed[8..16].copy_from_slice(&old.to_le_bytes());
+        match decode_segment(&skewed, 1) {
+            Err(PersistError::Corrupt { offset, reason }) => {
+                assert_eq!(offset, 8);
+                assert!(
+                    reason.contains(&format!("version {old}")),
+                    "names what it found: {reason}"
+                );
+                assert!(
+                    reason.contains("version 3"),
+                    "names what it reads: {reason}"
+                );
+            }
+            other => panic!("version skew must be loud, got {other:?}"),
         }
-        other => panic!("version skew must be loud, got {other:?}"),
     }
     // A segment renamed to a different number is refused too.
     let honest = sealed_segment_bytes(1, &recs);
@@ -678,24 +732,134 @@ fn checkpoints_delete_subsumed_segments() {
     let mut ckpt = sample_checkpoint();
     ckpt.seq = 5;
     store.checkpoint(&ckpt).unwrap();
-    // The sealed predecessors are gone; the active segment is a bare
-    // header again.
+    // The sealed predecessors are gone; the active segment keeps its
+    // record and gains the checkpoint frame — nothing is truncated.
     assert_eq!(store.segment_span(), (3, 3));
     assert!(!seg1(&dir).exists());
     assert!(!dir.join(segment_file_name(2)).exists());
+    let frame_bytes = checkpoint_frame(&ckpt.to_json()).len();
     assert_eq!(
         std::fs::metadata(dir.join(segment_file_name(3)))
             .unwrap()
             .len(),
-        SEGMENT_HEADER_BYTES as u64
+        (SEGMENT_HEADER_BYTES + 25 + frame_bytes) as u64
     );
-    // Appends continue the chain and the next reopen replays only them.
+    // Appends continue the chain (the frame filled segment 3, so the
+    // next append seals it) and the next reopen replays only them.
     assert_eq!(store.append(WalOp::Get, ClipId::new(9)).unwrap(), 6);
+    assert_eq!(store.segment_span(), (3, 4));
     drop(store);
-    let (store, state) = ShardStore::open_tuned(&dir, WalSync::Off, tiny_segments()).unwrap();
+    let (mut store, state) = ShardStore::open_tuned(&dir, WalSync::Off, tiny_segments()).unwrap();
     assert_eq!(state.checkpoint.expect("checkpoint").seq, 5);
     assert_eq!(state.records, vec![record(6, 9, WalOp::Get)]);
+    assert_eq!(store.segment_span(), (3, 4), "open unlinks nothing");
+    // The first checkpoint in the new segment unlinks the sealed one
+    // holding the old checkpoint; later ones find nothing to unlink.
+    ckpt.seq = 6;
+    store.checkpoint(&ckpt).unwrap();
+    assert_eq!(store.segment_span(), (4, 4));
+    store.checkpoint(&ckpt).unwrap();
+    assert_eq!(store.segment_span(), (4, 4));
+}
+
+#[test]
+fn sealed_segments_are_unlinked_only_after_an_fsync_covers_a_checkpoint() {
+    let dir = tmp_dir("seg-ckpt-always");
+    let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Always, tiny_segments()).unwrap();
+    for i in 1..=5u32 {
+        store.append(WalOp::Get, ClipId::new(i)).unwrap();
+    }
+    // Two seals, and two successor segments (file plus directory).
+    assert_eq!(store.syncs(), 6);
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 5;
+    store.checkpoint(&ckpt).unwrap();
+    // Under always the frame waits for the commit point, and so do the
+    // sealed segments it subsumes.
+    assert_eq!(
+        store.syncs(),
+        6,
+        "a checkpoint frame costs no fsync of its own"
+    );
+    assert_eq!(store.segment_span(), (1, 3));
+    assert!(seg1(&dir).exists());
+    store.sync().unwrap();
+    assert_eq!(
+        store.syncs(),
+        7,
+        "one fsync covers the records and the frame"
+    );
     assert_eq!(store.segment_span(), (3, 3));
+    assert!(!seg1(&dir).exists() && !dir.join(segment_file_name(2)).exists());
+    drop(store);
+    let (_, state) = ShardStore::open_tuned(&dir, WalSync::Off, tiny_segments()).unwrap();
+    assert_eq!(state.checkpoint.expect("checkpoint").seq, 5);
+    assert!(state.records.is_empty());
+}
+
+#[test]
+fn checkpoint_frames_decode_tear_and_fail_loudly() {
+    let ckpt = sample_checkpoint();
+    let frame = checkpoint_frame(&ckpt.to_json());
+    assert_eq!(frame.len(), CHECKPOINT_HEADER_BYTES + ckpt.to_json().len());
+    let mut bytes = segment_header(1).to_vec();
+    bytes.extend_from_slice(&record(1, 4, WalOp::Get).encode());
+    let before = bytes.len();
+    bytes.extend_from_slice(&frame);
+    bytes.extend_from_slice(&record(2, 5, WalOp::Admit).encode());
+    // Records around a checkpoint frame decode as one run.
+    let (decoded, end) = decode_segment(&bytes, 1).unwrap();
+    assert_eq!(
+        decoded,
+        [record(1, 4, WalOp::Get), record(2, 5, WalOp::Admit)]
+    );
+    assert_eq!(end, SegmentEnd::Unsealed(WalTail::Clean));
+    // Every cut inside the frame is an ordinary torn tail.
+    for cut in 1..frame.len() {
+        let (decoded, end) = decode_segment(&bytes[..before + cut], 1).unwrap();
+        assert_eq!(decoded.len(), 1, "cut at {cut}");
+        assert_eq!(
+            end,
+            SegmentEnd::Unsealed(WalTail::Torn {
+                valid_bytes: before as u64,
+                dropped_bytes: cut as u64,
+            }),
+            "cut at {cut}"
+        );
+    }
+    // A payload or CRC flip in a complete frame is corruption, and so
+    // is a length past the frame limit or one flipped bit past the end
+    // of the file — even in an unsealed segment, where a torn tail
+    // would be legal.
+    for (byte, mask, label) in [
+        (before + 9, 0x80, "crc"),
+        (before + 20, 0x80, "payload"),
+        (before + 7, 0x80, "length past the limit"),
+        (before + 5, 0x01, "length past the end"),
+    ] {
+        let mut flipped = bytes.clone();
+        flipped[byte] ^= mask;
+        assert!(
+            matches!(
+                decode_segment(&flipped, 1),
+                Err(PersistError::Corrupt { .. })
+            ),
+            "{label} flip must be loud"
+        );
+    }
+    // Sealed, a flip of any bit of the frame is loud too.
+    let mut sealed = bytes.clone();
+    sealed.extend_from_slice(&seal_footer(&bytes, 2));
+    for byte in before..before + frame.len() {
+        for bit in 0..8 {
+            let mut flipped = sealed.clone();
+            flipped[byte] ^= 1 << bit;
+            assert!(
+                decode_segment(&flipped, 1).is_err(),
+                "flip of byte {byte} bit {bit} was not loud"
+            );
+        }
+    }
 }
 
 #[test]
@@ -721,16 +885,24 @@ fn gapped_segment_numbering_is_corruption() {
 fn a_legacy_single_file_wal_is_rejected_by_name() {
     let dir = tmp_dir("legacy");
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join(LEGACY_WAL_FILE), record(1, 1, WalOp::Get).encode()).unwrap();
-    match ShardStore::open(&dir, WalSync::Off).map(|_| ()) {
-        Err(PersistError::Corrupt { reason, .. }) => {
-            assert!(reason.contains(LEGACY_WAL_FILE), "{reason}");
-            assert!(reason.contains("segmented"), "says what to do: {reason}");
+    // The single-file WAL, and a leftover checkpoint file or its scratch
+    // copy from the side-file layout, are each refused by name.
+    for (name, says) in [
+        (LEGACY_WAL_FILE, "segmented"),
+        (LEGACY_CHECKPOINT_FILES[0], "frames"),
+        (LEGACY_CHECKPOINT_FILES[1], "frames"),
+    ] {
+        std::fs::write(dir.join(name), sample_checkpoint().to_json()).unwrap();
+        match ShardStore::open(&dir, WalSync::Off).map(|_| ()) {
+            Err(PersistError::Corrupt { reason, .. }) => {
+                assert!(reason.contains(name), "{reason}");
+                assert!(reason.contains(says), "says why: {reason}");
+            }
+            other => panic!("a leftover {name} must be refused, got {other:?}"),
         }
-        other => panic!("legacy wal.log must be refused, got {other:?}"),
+        std::fs::remove_file(dir.join(name)).unwrap();
     }
     // So is an unparseable wal.*.log name.
-    std::fs::remove_file(dir.join(LEGACY_WAL_FILE)).unwrap();
     std::fs::write(dir.join("wal.junk.log"), b"").unwrap();
     assert!(matches!(
         ShardStore::open(&dir, WalSync::Off),
@@ -811,12 +983,24 @@ fn sync_fsyncs_once_for_everything_appended_since_the_last_sync() {
     store.sync().unwrap();
     store.sync().unwrap();
     assert_eq!(store.syncs(), 1, "one fsync covers the whole batch");
-    // Sync off: durability is not promised, so sync never fsyncs.
+    // A checkpoint frame rides the next sync like any record.
+    store.append(WalOp::Get, ClipId::new(6)).unwrap();
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 6;
+    store.checkpoint(&ckpt).unwrap();
+    store.checkpoint(&ckpt).unwrap();
+    store.sync().unwrap();
+    assert_eq!(store.syncs(), 2, "records and two checkpoints, one fsync");
+    // Sync off: durability is not promised, so sync never fsyncs — but
+    // a checkpoint still reaches the platter, at one fsync.
     let dir_off = tmp_dir("sync-count-off");
     let (mut store, _) = ShardStore::open(&dir_off, WalSync::Off).unwrap();
     store.append(WalOp::Get, ClipId::new(1)).unwrap();
     store.sync().unwrap();
     assert_eq!(store.syncs(), 0);
+    ckpt.seq = 1;
+    store.checkpoint(&ckpt).unwrap();
+    assert_eq!(store.syncs(), 1);
 }
 
 #[test]
@@ -858,12 +1042,14 @@ fn sync_on_a_killed_store_errors_and_rewinds_stay_discarded() {
     ckpt.seq = 0;
     store.checkpoint(&ckpt).unwrap();
     store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    store.rewind_to_checkpoint().unwrap();
-    // The rewind discarded the record and fsynced the truncation: a
-    // sync has nothing to make durable, and must not bring it back.
+    // A rewind appends the checkpoint again, covering the record: one
+    // sync makes the record and the rewind durable together, and the
+    // record must never come back.
+    ckpt.seq = 1;
+    store.checkpoint(&ckpt).unwrap();
     store.sync().unwrap();
-    assert_eq!(store.syncs(), 0);
-    assert_eq!(store.append(WalOp::Get, ClipId::new(2)).unwrap(), 1);
+    assert_eq!(store.syncs(), 1);
+    assert_eq!(store.append(WalOp::Get, ClipId::new(2)).unwrap(), 2);
     store.sync().unwrap();
     // A killed store cannot vouch for what it had not yet synced.
     store.append(WalOp::Get, ClipId::new(3)).unwrap();

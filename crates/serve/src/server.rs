@@ -457,6 +457,9 @@ struct EventLoop {
     touched: Vec<usize>,
     /// Stalled connections to read again next turn.
     resume: Vec<usize>,
+    /// The drain loop's read buffer, allocated once and lent to every
+    /// readiness event.
+    read_buf: Box<[u8]>,
 }
 
 impl EventLoop {
@@ -485,6 +488,7 @@ impl EventLoop {
             shed: 0,
             touched: Vec::new(),
             resume: Vec::new(),
+            read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -627,6 +631,7 @@ impl EventLoop {
         if bits & (libc::EPOLLIN | libc::EPOLLRDHUP | libc::EPOLLOUT) != 0 {
             Self::read_and_process(
                 conn,
+                &mut self.read_buf,
                 &self.service,
                 &self.config,
                 &mut self.cluster,
@@ -640,10 +645,12 @@ impl EventLoop {
         self.update_interest(token);
     }
 
-    /// Drain the socket into `rbuf` (edge-triggered: read to
-    /// `WouldBlock`), then execute every complete buffered request.
+    /// Drain the socket into `rbuf` through `chunk` (edge-triggered:
+    /// read to `WouldBlock`), then execute every complete buffered
+    /// request.
     fn read_and_process(
         conn: &mut Conn,
+        chunk: &mut [u8],
         service: &CacheService,
         config: &ServerConfig,
         cluster: &mut Option<ClusterRuntime>,
@@ -657,9 +664,8 @@ impl EventLoop {
             conn.stalled = true;
             return; // backpressure: let the client drain replies first
         }
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(chunk) {
                 Ok(0) => {
                     conn.eof = true;
                     break;

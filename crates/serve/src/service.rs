@@ -192,12 +192,13 @@ impl CacheService {
     }
 
     /// Build a *durable* service rooted at `opts.dir`: each shard owns
-    /// `dir/shard-{i}` (checkpoint + WAL), recovering whatever state a
-    /// previous process made durable before attaching.
+    /// `dir/shard-{i}` (a segmented WAL holding records and checkpoint
+    /// frames), recovering whatever state a previous process made
+    /// durable before attaching.
     ///
-    /// Recovery per shard: load the newest valid checkpoint, replay the
-    /// WAL tail through the normal access path, truncate a torn final
-    /// record. Mid-log corruption and incompatible checkpoints
+    /// Recovery per shard: restore the newest checkpoint frame, replay
+    /// the records after it through the normal access path, truncate a
+    /// torn final frame. Mid-log corruption and incompatible checkpoints
     /// (unknown version, wrong policy/capacity) are loud
     /// [`PersistError`]s — a durable service never silently starts
     /// cold over bad state.
@@ -331,8 +332,9 @@ impl CacheService {
         result
     }
 
-    /// Fsyncs issued by [`sync`](Self::sync) across all shards since
-    /// the stores were opened.
+    /// Every fsync the shards' stores have issued since they were
+    /// opened — commit points, seals, segment creation, and checkpoint
+    /// frames under `--wal-sync off` ([`ShardStore::syncs`]).
     pub fn wal_syncs(&self) -> u64 {
         (0..self.shards.len())
             .map(|i| self.lock_shard(i).syncs())

@@ -28,12 +28,15 @@
 //! A shard opened with a data directory ([`Shard::attach_store`], via
 //! `CacheService::open_persistent`) pairs the in-memory checkpoint with
 //! a [`ShardStore`]: every access is appended to the store's write-ahead
-//! log *before* it is applied, and each checkpoint refresh writes the
-//! durable checkpoint first, so disk is never behind what a client was
-//! told. On open, the durable checkpoint is restored and the WAL tail
-//! replays through the same zero-alloc `access_into` path live requests
-//! use — then the shard compacts (fresh checkpoint, truncated log) so
-//! restarts converge instead of replaying ever-longer logs.
+//! log *before* it is applied, and each checkpoint refresh appends the
+//! durable checkpoint frame first, so disk is never behind what a client
+//! was told. On open, the newest checkpoint frame is restored and the
+//! records after it replay through the same zero-alloc `access_into`
+//! path live requests use — then the shard compacts (a fresh checkpoint
+//! frame after the replayed records) so restarts converge instead of
+//! replaying ever-longer logs. A poison rewind appends the in-memory
+//! checkpoint again, so the records it forgets sit before a checkpoint
+//! frame on disk too.
 
 use crate::persist::{CrashSpec, DurableCheckpoint, DurableState, PersistError, ShardStore, WalOp};
 use clipcache_core::snapshot::{restore, CacheSnapshot};
@@ -294,9 +297,9 @@ impl Shard {
         Ok(())
     }
 
-    /// Refresh both checkpoints — durable first, so a crash mid-write
-    /// leaves the in-memory checkpoint still describing the same state
-    /// recovery will find on disk.
+    /// Refresh both checkpoints — durable frame first, so a crash
+    /// mid-write leaves the in-memory checkpoint still describing the
+    /// same state recovery will find on disk.
     fn force_checkpoint(&mut self) -> Result<(), PersistError> {
         let snapshot = CacheSnapshot::take(self.cache.as_ref(), self.policy, Timestamp(self.clock));
         if let Some(store) = &mut self.store {
@@ -317,14 +320,16 @@ impl Shard {
     /// Attach a durable store, rebuilding the shard from what it found
     /// on disk. Returns how many WAL records were replayed.
     ///
-    /// The durable checkpoint (if any) restores exactly like poison
-    /// recovery; the WAL tail then replays through the same zero-alloc
-    /// apply path live requests use. If anything replayed (or a torn
-    /// tail was truncated), the shard compacts — writes a fresh durable
-    /// checkpoint subsuming the log — so repeated crash-restarts step
-    /// forward instead of replaying ever-longer logs. A restart with
-    /// nothing to replay leaves the directory bytes untouched, which is
-    /// what makes back-to-back recoveries bit-identical.
+    /// The newest checkpoint frame (if any) restores exactly like poison
+    /// recovery; the records after it then replay through the same
+    /// zero-alloc apply path live requests use. If anything replayed (or
+    /// a torn tail was truncated), the shard compacts — appends a fresh
+    /// checkpoint frame after the replayed records — so repeated
+    /// crash-restarts step forward instead of replaying ever-longer
+    /// logs. Records before the newest checkpoint frame are not replayed
+    /// and start no compaction: a restart with nothing to replay leaves
+    /// the directory bytes untouched, which is what makes back-to-back
+    /// recoveries bit-identical.
     pub fn attach_store(
         &mut self,
         store: ShardStore,
@@ -400,7 +405,7 @@ impl Shard {
         let replayed = state.records.len() as u64;
         self.wal_replayed = replayed;
         self.store = Some(store);
-        if replayed > 0 || state.torn_bytes_dropped > 0 || state.subsumed_records > 0 {
+        if replayed > 0 || state.torn_bytes_dropped > 0 {
             self.force_checkpoint()?;
         }
         Ok(replayed)
@@ -428,8 +433,8 @@ impl Shard {
         }
     }
 
-    /// Fsyncs the attached store's [`sync`](Self::sync) has issued (0
-    /// for a memory-only shard).
+    /// Fsyncs the attached store has issued since it was opened (0 for
+    /// a memory-only shard; see [`ShardStore::syncs`]).
     pub fn syncs(&self) -> u64 {
         self.store.as_ref().map_or(0, ShardStore::syncs)
     }
@@ -460,11 +465,18 @@ impl Shard {
         self.stats = self.checkpoint.stats.clone();
         self.evictions = EvictionCount(0);
         // Keep the disk in step with the rewind: WAL records after the
-        // checkpoint describe accesses the rebuilt shard never saw. If
-        // even the truncation fails, kill the store — refusing further
-        // appends beats silently diverging from the in-memory state.
+        // checkpoint describe accesses the rebuilt shard never saw, so
+        // append the checkpoint again after them — recovery then skips
+        // them like any records before a checkpoint frame. If that
+        // fails, kill the store: refusing further appends beats
+        // silently diverging from the in-memory state.
         if let Some(store) = &mut self.store {
-            if store.rewind_to_checkpoint().is_err() {
+            let rewound = DurableCheckpoint {
+                snapshot: self.checkpoint.snapshot.clone(),
+                stats: self.checkpoint.stats.clone(),
+                seq: store.next_seq() - 1,
+            };
+            if store.checkpoint(&rewound).is_err() {
                 store.kill();
             }
         }

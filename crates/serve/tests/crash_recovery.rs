@@ -13,16 +13,19 @@
 //! * a torn final append is truncated, costing exactly the torn
 //!   record and nothing else;
 //! * a crash mid-checkpoint keeps the previous checkpoint and the
-//!   full WAL — the atomic rename never exposes a half-written file;
+//!   full WAL — the half-written frame is an ordinary torn tail;
+//! * records and sealed segments before the newest checkpoint frame
+//!   are skipped, never replayed, even when a crash kept them on disk;
 //! * recovery is deterministic: two independent recoveries of the
 //!   same directory agree byte-for-byte, on state and on disk;
 //! * counters are conserved across a crash-restart loop: every request
 //!   the durable store acknowledged is counted exactly once.
 
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
+use clipcache_serve::persist::checkpoint_frame;
 use clipcache_serve::{
     segment_file_name, CacheService, CrashAction, CrashSpec, PersistOptions, ServiceConfig,
-    ServiceError, WalTuning,
+    ServiceError, ShardStore, WalSync, WalTuning,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -259,59 +262,49 @@ fn crash_mid_checkpoint_keeps_the_full_wal() {
 }
 
 #[test]
-fn crash_between_checkpoint_rename_and_wal_truncation_recovers() {
-    use clipcache_serve::persist::{WalOp, WalRecord};
+fn crash_between_checkpoint_and_segment_unlink_recovers() {
     let repo = repo();
-    let dir = scratch_dir("rename-window");
-    let control = scratch_dir("rename-window-control");
+    let dir = scratch_dir("unlink-window");
+    let control = scratch_dir("unlink-window-control");
     let cfg = config(16);
     let requests = trace(40);
-    let service = open_with_crash(&repo, cfg, &dir, None);
+    // The control runs at the default sync policy, where each checkpoint
+    // frame is fsynced at once and unlinks the sealed segments before
+    // it.
+    let service = open_tuned_with_crash(&repo, cfg, &control, None, four_record_segments());
     for &clip in &requests {
         service.get(clip).unwrap();
     }
     let stats_before = service.stats();
     drop(service);
-    // An untouched copy: what recovery looks like had the truncation
-    // completed before the kill.
-    copy_dir(&dir, &control);
 
-    // Reconstruct the on-disk state a kill -9 between the checkpoint
-    // rename and the WAL truncation leaves behind: the renamed
-    // checkpoint covers through seq S, yet records with seq ≤ S are
-    // still at the head of the log. Recovery must skip the subsumed
+    // At `--wal-sync always` the frames wait for a commit point that
+    // never comes, so no segment is unlinked: the directory is what a
+    // kill -9 between a checkpoint's fsync and its unlinks leaves —
+    // checkpoint frames at seq 16 and 32, yet every record from seq 1
+    // still on disk in sealed segments. Recovery must skip the subsumed
     // prefix — not refuse to start, not replay anything twice.
-    let shard_dir = dir.join("shard-0");
-    let ckpt_json = std::fs::read_to_string(shard_dir.join("checkpoint.json")).unwrap();
-    let seq: u64 = ckpt_json
-        .split("\"seq\":")
-        .nth(1)
-        .expect("checkpoint records its seq")
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap();
-    assert!(seq > 0, "a mid-stream checkpoint was written");
-    let wal_path = shard_dir.join(segment_file_name(1));
-    let existing = std::fs::read(&wal_path).unwrap();
-    let (header, tail) = existing.split_at(clipcache_serve::persist::SEGMENT_HEADER_BYTES);
-    let mut forged = header.to_vec();
-    for s in 1..=seq {
-        forged.extend_from_slice(
-            &WalRecord {
-                seq: s,
-                clip: ClipId::new(1),
-                chunk: 0,
-                op: WalOp::Get,
-            }
-            .encode(),
-        );
+    let opts = PersistOptions {
+        sync: WalSync::Always,
+        tuning: four_record_segments(),
+        ..PersistOptions::at(&dir)
+    };
+    let (service, _) = CacheService::open_persistent(Arc::clone(&repo), cfg, None, &opts).unwrap();
+    for &clip in &requests {
+        service.get(clip).unwrap();
     }
-    forged.extend_from_slice(tail);
-    std::fs::write(&wal_path, &forged).unwrap();
+    drop(service);
+    let kept = segment_files(&dir.join("shard-0"));
+    assert_eq!(kept[0], segment_file_name(1), "nothing was unlinked");
+    assert!(
+        kept.len() > segment_files(&control.join("shard-0")).len(),
+        "the subsumed segments are still on disk: {kept:?}"
+    );
 
-    let opts = PersistOptions::at(&dir);
+    let opts = PersistOptions {
+        tuning: four_record_segments(),
+        ..PersistOptions::at(&dir)
+    };
     let (recovered, report) =
         CacheService::open_persistent(Arc::clone(&repo), cfg, None, &opts).unwrap();
     assert_eq!(
@@ -319,17 +312,19 @@ fn crash_between_checkpoint_rename_and_wal_truncation_recovers() {
         stats_before,
         "no request lost or doubled"
     );
-    assert!(report.replayed < 40, "the subsumed prefix was not replayed");
+    assert_eq!(report.replayed, 8, "only the records after seq 32 replay");
     // The subsumed prefix is invisible: recovery lands exactly where a
-    // completed truncation would have.
-    let reference = open_with_crash(&repo, cfg, &control, None);
-    assert_state_equal(&recovered, &reference, "rename-window vs clean reopen");
+    // completed unlink would have.
+    let reference = open_tuned_with_crash(&repo, cfg, &control, None, four_record_segments());
+    assert_state_equal(&recovered, &reference, "unlink-window vs clean reopen");
     drop(recovered);
-    // The skip is idempotent: a second recovery sees a compacted store.
+    // The skip is idempotent: the first recovery compacted the log, and
+    // its checkpoint unlinked the subsumed segments at last.
     let (again, report) =
         CacheService::open_persistent(Arc::clone(&repo), cfg, None, &opts).unwrap();
     assert_eq!(report.replayed, 0, "first recovery compacted the log");
     assert_eq!(again.stats(), stats_before);
+    assert_eq!(segment_files(&dir.join("shard-0")).len(), 1);
     for d in [&dir, &control] {
         let _ = std::fs::remove_dir_all(d);
     }
@@ -448,28 +443,33 @@ fn incompatible_durable_state_is_rejected_loudly() {
     let err = open_must_fail(&repo, fifo, &dir);
     assert!(err.contains("policy"), "policy mismatch surfaced: {err}");
 
-    // A future checkpoint version is refused, not half-read.
-    let ckpt_path = dir.join("shard-0").join("checkpoint.json");
-    let json = std::fs::read_to_string(&ckpt_path).unwrap();
+    // A future checkpoint version is refused, not half-read — even
+    // inside a frame whose CRC holds, appended as the newest checkpoint.
+    let shard_dir = dir.join("shard-0");
+    let json = ShardStore::open(&shard_dir, WalSync::Off)
+        .unwrap()
+        .1
+        .checkpoint
+        .expect("cadence 1 wrote a checkpoint frame")
+        .to_json();
     assert!(
         json.contains("\"version\":2"),
         "checkpoint should be version 2: {json}"
     );
-    std::fs::write(
-        &ckpt_path,
-        json.replacen("\"version\":2", "\"version\":99", 1),
-    )
-    .unwrap();
+    let wal_path = shard_dir.join(segment_file_name(1));
+    let wal = std::fs::read(&wal_path).unwrap();
+    let with_newest = |json: String| {
+        let mut forged = wal.clone();
+        forged.extend_from_slice(&checkpoint_frame(&json));
+        std::fs::write(&wal_path, forged).unwrap();
+    };
+    with_newest(json.replacen("\"version\":2", "\"version\":99", 1));
     let err = open_must_fail(&repo, cfg, &dir);
     assert!(err.contains("version"), "version mismatch surfaced: {err}");
 
     // A version-1 checkpoint (whole-clip residency, no prefix_hits) is
     // named explicitly in the refusal.
-    std::fs::write(
-        &ckpt_path,
-        json.replacen("\"version\":2", "\"version\":1", 1),
-    )
-    .unwrap();
+    with_newest(json.replacen("\"version\":2", "\"version\":1", 1));
     let err = open_must_fail(&repo, cfg, &dir);
     assert!(
         err.contains("version 1") && err.contains("whole-clip"),

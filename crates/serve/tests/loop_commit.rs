@@ -190,28 +190,41 @@ fn durable_service(dir: &Path, every: u64, crash: Option<&str>) -> Arc<CacheServ
 
 #[test]
 fn one_pipelined_write_of_32_gets_shares_fsyncs() {
-    let dir = scratch("shared");
-    let service = durable_service(&dir, 1_000_000, None);
-    let handle = serve_with(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
-        .expect("server binds");
-    let mut client =
-        TcpCacheClient::connect_wire(handle.addr(), None, Wire::Binary).expect("client connects");
-    let clips: Vec<ClipId> = (0..32u32).map(|i| ClipId::new(i % 24 + 1)).collect();
-    client.send_gets(&clips).expect("one write of 32 GETs");
-    for i in 0..32 {
-        client
-            .recv_get()
-            .unwrap_or_else(|e| panic!("reply {i}: {e}"));
+    // Cadence 1,000,000 writes no checkpoint; cadence 8 writes four in
+    // the same turn, whose frames must ride the turn's fsync: the
+    // store counts every fsync it issues, and they may add none.
+    let mut cost = Vec::new();
+    for every in [1_000_000, 8] {
+        let dir = scratch(&format!("shared-{every}"));
+        let service = durable_service(&dir, every, None);
+        let handle = serve_with(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
+            .expect("server binds");
+        let mut client = TcpCacheClient::connect_wire(handle.addr(), None, Wire::Binary)
+            .expect("client connects");
+        let clips: Vec<ClipId> = (0..32u32).map(|i| ClipId::new(i % 24 + 1)).collect();
+        client.send_gets(&clips).expect("one write of 32 GETs");
+        for i in 0..32 {
+            client
+                .recv_get()
+                .unwrap_or_else(|e| panic!("reply {i}: {e}"));
+        }
+        assert_eq!(client.stats().expect("stats").stats.requests(), 32);
+        let syncs = service.wal_syncs();
+        assert!(
+            (1..32).contains(&syncs),
+            "cadence {every}: 32 pipelined GETs cost {syncs} fsyncs; they must share them"
+        );
+        cost.push(syncs);
+        client.quit().expect("clean disconnect");
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(client.stats().expect("stats").stats.requests(), 32);
-    let syncs = service.wal_syncs();
     assert!(
-        (1..32).contains(&syncs),
-        "32 pipelined GETs cost {syncs} fsyncs; they must share them"
+        cost[1] <= cost[0],
+        "four checkpoints in the turn cost {} fsyncs against {} without",
+        cost[1],
+        cost[0]
     );
-    client.quit().expect("clean disconnect");
-    handle.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

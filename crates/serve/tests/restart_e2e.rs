@@ -7,7 +7,7 @@
 //! an idle restart must leave the directory bytes untouched.
 
 use clipcache_media::ClipId;
-use clipcache_serve::TcpCacheClient;
+use clipcache_serve::{ShardStore, TcpCacheClient, WalSync};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -168,8 +168,9 @@ fn killed_server_recovers_every_acknowledged_request() {
     server.quit();
     let settled = dir_contents(&dir);
     // The settled listing is the segmented layout: every shard holds
-    // numbered `wal.NNNNNN.log` segments plus its checkpoint — never
-    // the retired single-file `wal.log`.
+    // numbered `wal.NNNNNN.log` segments, its checkpoint a frame inside
+    // them — never the retired single-file `wal.log` or a side-file
+    // `checkpoint.json`/`checkpoint.tmp`.
     for shard in ["shard-0", "shard-1"] {
         let shard_dir = dir.join(shard);
         let names: Vec<&str> = settled
@@ -183,8 +184,9 @@ fn killed_server_recovers_every_acknowledged_request() {
                 .any(|n| n.starts_with("wal.") && n.ends_with(".log") && *n != "wal.log"),
             "{shard} has a numbered WAL segment: {names:?}"
         );
-        assert!(names.contains(&"checkpoint.json"), "{shard}: {names:?}");
-        assert!(!names.contains(&"wal.log"), "{shard} kept a legacy wal.log");
+        for retired in ["wal.log", "checkpoint.json", "checkpoint.tmp"] {
+            assert!(!names.contains(&retired), "{shard} holds a {retired}");
+        }
     }
     let server = spawn_server(&dir, 2);
     server.quit();
@@ -193,6 +195,13 @@ fn killed_server_recovers_every_acknowledged_request() {
         settled,
         "an idle restart must not rewrite durable state"
     );
+    // Settled means compacted: each shard's newest checkpoint frame
+    // covers its whole log, leaving nothing to replay.
+    for shard in ["shard-0", "shard-1"] {
+        let (_, state) = ShardStore::open(&dir.join(shard), WalSync::Off).unwrap();
+        assert!(state.checkpoint.is_some(), "{shard} has a checkpoint frame");
+        assert!(state.records.is_empty(), "{shard} replays nothing");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

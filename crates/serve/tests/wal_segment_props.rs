@@ -3,8 +3,8 @@
 //! of the newest segment silently recovers the valid record prefix, a
 //! single flipped bit anywhere in a *sealed* segment is loud
 //! corruption (the footer CRC covers every byte), and a checkpoint
-//! whose cutoff lands mid-segment skips the subsumed prefix across the
-//! segment boundary instead of replaying or refusing it.
+//! frame whose cutoff lands mid-segment skips the subsumed prefix
+//! across the segment boundary instead of replaying or refusing it.
 //!
 //! The `proptest!` cases draw random inputs when the real `proptest`
 //! crate is available; the plain `#[test]`s keep a deterministic corpus
@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Frame layout: len (4) + crc (4) + payload (17) — version 2.
+/// Record frame layout: len (4) + crc (4) + payload (17).
 const FRAME_BYTES: usize = 25;
 
 fn record_from(seq: u64, clip: u32, op_selector: u8) -> WalRecord {
@@ -189,30 +189,60 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Subsumed-prefix property: append `total` records under two-record
-/// segments, then plant a checkpoint covering through `cutoff` — a
-/// cutoff that lands *inside* or *past* a sealed segment. Reopen must
-/// replay exactly the records after the cutoff, delete every fully
-/// subsumed segment, and never replay a subsumed record — even when
-/// the subsumed prefix ends mid-segment.
+/// Subsumed-prefix property: append `cutoff` records under two-record
+/// segments, checkpoint, and append up to `total` — then put back the
+/// sealed segments the checkpoint unlinked, the state a crash between
+/// the checkpoint's fsync and the unlinks leaves. The checkpoint frame
+/// sits in a later segment than those records, whose cutoff may land
+/// anywhere in or past a sealed segment. Reopen must replay exactly
+/// the records after the cutoff, rewrite nothing, and never replay a
+/// subsumed record — even when the subsumed prefix ends mid-segment.
 fn assert_subsumed_prefix_skips(total: u64, cutoff: u64) {
     assert!(cutoff <= total && total > 0);
     let dir = scratch(&format!("skip-{total}-{cutoff}"));
     let tuning = WalTuning {
         segment_bytes: (SEGMENT_HEADER_BYTES + 2 * FRAME_BYTES) as u64,
     };
+    let mut unlinked = Vec::new();
     {
         let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
-        for i in 1..=total {
+        let append = |store: &mut ShardStore, i: u64| {
             store
                 .append(WalOp::Get, ClipId::new((i % 4) as u32 + 1))
                 .unwrap();
+        };
+        for i in 1..=cutoff {
+            append(&mut store, i);
+        }
+        let (oldest, active) = store.segment_span();
+        for no in oldest..active {
+            let path = dir.join(segment_file_name(no));
+            unlinked.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+        store.checkpoint(&checkpoint_at(cutoff)).unwrap();
+        for i in cutoff + 1..=total {
+            append(&mut store, i);
         }
     }
-    // Plant the checkpoint the way a crash between the checkpoint
-    // rename and the segment cleanup would leave it: covering through
-    // `cutoff` with every segment still on disk.
-    std::fs::write(dir.join("checkpoint.json"), checkpoint_at(cutoff).to_json()).unwrap();
+    for (path, bytes) in &unlinked {
+        assert!(!path.exists(), "the checkpoint unlinked {}", path.display());
+        std::fs::write(path, bytes).unwrap();
+    }
+    let listing = |dir: &PathBuf| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().into_string().unwrap(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let planted = listing(&dir);
 
     let (store, state) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
     assert_eq!(
@@ -225,35 +255,33 @@ fn assert_subsumed_prefix_skips(total: u64, cutoff: u64) {
         (cutoff < total).then_some(cutoff + 1),
         "replay starts right after the cutoff"
     );
-    assert_eq!(
-        state.subsumed_records, cutoff,
-        "the prefix was skipped, counted"
-    );
-    // Fully subsumed sealed segments are gone; the store still spans a
-    // contiguous run of segment numbers.
+    assert_eq!(state.checkpoint.map(|c| c.seq), Some(cutoff));
+    // The subsumed segments are left for the next covered checkpoint:
+    // the store spans a contiguous run of segment numbers from 1, and
+    // the open rewrote nothing.
     let (oldest, newest) = store.segment_span();
-    assert!(oldest >= 1 && oldest <= newest);
-    let survivors = (newest - oldest + 1) * 2;
-    assert!(
-        survivors + cutoff >= total,
-        "surviving segments ({oldest}..{newest}) still hold every live record"
-    );
+    assert_eq!(oldest, 1);
+    assert!(oldest <= newest);
     drop(store);
+    assert_eq!(listing(&dir), planted, "open rewrote nothing");
     // The skip is stable: a second open replays the same suffix.
-    let (_, again) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
+    let (mut store, again) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
     assert_eq!(again.records, state.records);
     match again.checkpoint {
         Some(c) => assert_eq!(c.seq, cutoff),
         None => panic!("the planted checkpoint survives"),
     }
+    // The next checkpoint unlinks every sealed segment at once.
+    store.checkpoint(&checkpoint_at(total)).unwrap();
+    let (oldest, newest) = store.segment_span();
+    assert_eq!(oldest, newest, "only the active segment is left");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_checkpoint_cutoff_anywhere_in_a_multi_segment_log_skips_the_prefix() {
-    // Seven records under two-record segments: segments 1–3 sealed,
-    // segment 4 active with one record. Every cutoff position crosses
-    // (or lands exactly on) a segment boundary somewhere.
+    // Seven records under two-record segments. Every cutoff position
+    // crosses (or lands exactly on) a segment boundary somewhere.
     for cutoff in 0..=7u64 {
         assert_subsumed_prefix_skips(7, cutoff);
     }
